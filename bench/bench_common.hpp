@@ -23,11 +23,12 @@
 #include "apps/sor.hpp"
 #include "apps/tsp.hpp"
 #include "apps/water.hpp"
+#include "net/knobs.hpp"
 
 namespace omsp::bench {
 
 inline sim::Topology paper_topology() {
-  return sim::Topology::from_env_or(sim::Topology::sp2());
+  return knobs::resolve("OMSP_TOPOLOGY").topology;
 }
 inline sim::CostModel paper_cost() {
   sim::CostModel m = sim::CostModel::sp2_default();

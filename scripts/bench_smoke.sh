@@ -58,13 +58,12 @@ done
 TMP=$(mktemp -d)
 trap 'rm -rf "$TMP"' EXIT
 
-# Default transport only: no OMSP_OVERLAP / loss in the environment — this
-# is the bit-for-bit seed configuration the drift check certifies.
-# OMSP_TOPOLOGY and OMSP_COLL are deliberately NOT unset: a caller-selected
-# machine shape or collective engine is a legitimate sweep, checked against
-# its own baseline key.
-unset OMSP_OVERLAP OMSP_OVERLAP_FETCH OMSP_OVERLAP_PREFETCH OMSP_PERTURB_SEED \
-      OMSP_LOSS_PROB OMSP_RACE
+# Default transport only: no OMSP_* knob in the environment — this is the
+# bit-for-bit seed configuration the drift check certifies. OMSP_TOPOLOGY
+# and OMSP_COLL are deliberately kept: a caller-selected machine shape or
+# collective engine is a legitimate sweep, checked against its own baseline
+# key.
+unset $(compgen -e | grep '^OMSP_' | grep -Evx 'OMSP_(TOPOLOGY|COLL)')
 
 # The no-loss baseline must not engage the reliability layer at all: zero
 # losses, zero retransmissions, zero acks (and therefore zero extra wire

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Docs <-> code sync check, run as the CI docs-check job. Three passes:
+# Docs <-> code sync check, run as the CI docs-check job. Four passes:
 #
 #  1. Markdown link check: every relative link target in docs/, README.md,
 #     EXPERIMENTS.md, DESIGN.md and ROADMAP.md must exist on disk.
@@ -9,6 +9,10 @@
 #  3. Topology-preset sync: every preset and spec prefix documented in
 #     docs/TOPOLOGY.md must exist in src/sim/topology.hpp, and vice versa —
 #     a new preset cannot ship undocumented.
+#  4. Knob sync: the `OMSP_<NAME>=` knobs in README.md's "Debugging knobs"
+#     section are exactly the rows of the knob table in src/net/knobs.cc,
+#     and each row appears there as `OMSP_<NAME>=<grammar>` with the table's
+#     grammar string (build-time cmake options are not knobs).
 #
 # Pure stdlib python3; no dependencies beyond what the CI image carries.
 set -euo pipefail
@@ -66,7 +70,7 @@ topo_hpp = open("src/sim/topology.hpp", encoding="utf-8").read()
 topo_md = open("docs/TOPOLOGY.md", encoding="utf-8").read()
 code_presets = set(re.findall(r"static Topology (\w+)\(", topo_hpp))
 doc_presets = set(re.findall(r"Topology::(\w+)\(", topo_md))
-for p in sorted(code_presets - doc_presets - {"parse", "from_env_or"}):
+for p in sorted(code_presets - doc_presets - {"parse"}):
     failures.append(f"src/sim/topology.hpp: preset '{p}' undocumented in "
                     "docs/TOPOLOGY.md")
 # The docs also reference ordinary members as Topology::name(...); any
@@ -80,8 +84,24 @@ code_prefixes = set(re.findall(r'substr\(0, \d+\) == "(\w+):"', topo_hpp))
 for p in sorted(code_prefixes):
     if f"`{p}:" not in topo_md:
         failures.append(f"docs/TOPOLOGY.md: spec prefix '{p}:' undocumented")
-print(f"preset sync: {len(code_presets - {'parse', 'from_env_or'})} presets, "
+print(f"preset sync: {len(code_presets - {'parse'})} presets, "
       f"{len(code_prefixes)} spec prefixes verified")
+
+# ---- 4. README "Debugging knobs" matches the knob table --------------------
+# A row opens {"OMSP_NAME", "grammar" (adjacent literals concatenate), ...
+rows = {name: "".join(re.findall(r'"([^"]*)"', lits)) for name, lits in
+        re.findall(r'\{"(OMSP_\w+)",((?:\s*"[^"]*")+),',
+                   open("src/net/knobs.cc", encoding="utf-8").read())}
+m = re.search(r"^## Debugging knobs$(.*?)^## ",
+              open("README.md", encoding="utf-8").read(), re.S | re.M)
+section = m.group(1) if m else ""
+for k in sorted(set(rows) ^ set(re.findall(r"`(OMSP_\w+)=", section))):
+    failures.append(f"README.md 'Debugging knobs' and src/net/knobs.cc "
+                    f"disagree on {k}")
+for k, grammar in sorted(rows.items()):
+    if f"`{k}={grammar}`" not in section:
+        failures.append(f"README.md 'Debugging knobs' must show `{k}={grammar}`")
+print(f"knob sync: {len(rows)} knobs verified")
 
 if failures:
     print("docs_check failures:", file=sys.stderr)

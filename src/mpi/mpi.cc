@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "net/knobs.hpp"
 #include "net/message.hpp"
 #include "trace/tracer.hpp"
 
@@ -25,7 +26,7 @@ MpiWorld::MpiWorld(sim::Topology topo, sim::CostModel cost,
   for (auto& m : mailboxes_) m = std::make_unique<Mailbox>();
   // OMSP_COLL selects the collective engine code-free, mirroring the DSM
   // side; set_coll() overrides explicitly before run().
-  coll_ = coll::Options::from_env();
+  coll_ = knobs::resolve("OMSP_COLL").coll;
 }
 
 MpiWorld::~MpiWorld() = default;

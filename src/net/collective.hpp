@@ -56,10 +56,7 @@ struct Options {
   // else (including empty numbers and non-digits).
   static std::optional<Options> parse(std::string_view spec);
 
-  // Resolve OMSP_COLL from the environment; defaults when unset. A set but
-  // malformed value is a hard error, mirroring OMSP_TOPOLOGY — a typo must
-  // not silently fall back to the centralized engine.
-  static Options from_env();
+  bool operator==(const Options&) const = default;
 };
 
 // The gather/scatter tree for one collective. Members are dense indices

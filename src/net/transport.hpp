@@ -285,21 +285,18 @@ private:
   mutable std::vector<StageWait> stage_waits_; // grown on demand per stage
 };
 
-// Opt-in knobs for the overlapped communication paths (tmk::Config.overlap).
-// With enabled == false (the default) the DSM runs the seed-exact
-// InlineTransport; OMSP_OVERLAP=1 enables from the environment, with
-// OMSP_OVERLAP_FETCH=0 / OMSP_OVERLAP_PREFETCH=0 masking the sub-features.
+// Opt-in knobs for the overlapped communication paths (tmk::Config.overlap,
+// OMSP_OVERLAP). With enabled == false (the default) the DSM runs the
+// seed-exact InlineTransport. Enabled, a fault issues all per-creator diff
+// requests of a round concurrently (max-of-RTT stall instead of sum-of-RTT).
 struct OverlapOptions {
   bool enabled = false;
-  // fetch_and_apply issues all per-creator diff requests of a round
-  // concurrently (max-of-RTT stall instead of sum-of-RTT).
-  bool async_fetch = true;
   // Barrier departure issues one aggregated kDiffRequestBatch per creator
   // for the pages its write notices invalidated, overlapped with post-
   // barrier compute until first touch.
   bool prefetch = true;
 
-  static OverlapOptions from_env();
+  bool operator==(const OverlapOptions&) const = default;
 };
 
 // Zero-copy intra-node delivery (docs/PROTOCOL.md "Zero-copy intra-node
@@ -316,7 +313,7 @@ struct ZeroCopyOptions {
   bool enabled = false;
   std::size_t threshold_bytes = 0;
 
-  static ZeroCopyOptions from_env();
+  bool operator==(const ZeroCopyOptions&) const = default;
 };
 
 // Asynchronous delivery: one worker thread per destination context services
@@ -458,7 +455,7 @@ struct PerturbOptions {
 
   bool lossy() const { return loss_prob > 0 || drop_first; }
 
-  static PerturbOptions from_env();
+  bool operator==(const PerturbOptions&) const = default;
 };
 
 struct PerturbStats {

@@ -60,48 +60,46 @@ struct Config {
 
   Protocol protocol = Protocol::kLazyRC;
 
-  // Structured protocol tracing (docs/OBSERVABILITY.md). Off by default; the
-  // OMSP_TRACE_BIN / OMSP_TRACE_JSON environment variables override this at
-  // DsmSystem construction when trace.enabled is false.
+  // Optional features, all off by default. An OMSP_* environment variable
+  // can switch on each one the Config leaves off (net/knobs.hpp).
+
+  // Structured protocol tracing (docs/OBSERVABILITY.md; OMSP_TRACE_BIN,
+  // OMSP_TRACE_JSON).
   trace::Options trace;
 
   // Seeded transport fault injection (net::PerturbingTransport): latency
-  // jitter, bounded reordering of notifications and duplicate delivery. Off
-  // by default; OMSP_PERTURB_SEED=<n> overrides at DsmSystem construction
-  // when perturb.enabled is false.
+  // jitter, bounded reordering of notifications, duplicate delivery and loss
+  // (OMSP_PERTURB_SEED, OMSP_LOSS_PROB).
   net::PerturbOptions perturb;
 
   // Overlapped communication (net::QueuedTransport): concurrent per-creator
-  // diff fetches and barrier-time batched prefetch. Off by default so the
-  // InlineTransport seed semantics stay bit-for-bit; OMSP_OVERLAP=1
-  // overrides at DsmSystem construction when overlap.enabled is false.
-  // Only the lazy-RC protocol has overlapped paths; home-based fetches stay
-  // synchronous.
+  // diff fetches and barrier-time batched prefetch (OMSP_OVERLAP). Off keeps
+  // the InlineTransport seed semantics bit-for-bit. Only the lazy-RC
+  // protocol has overlapped paths; home-based fetches stay synchronous.
   net::OverlapOptions overlap;
 
-  // Zero-copy intra-node delivery (net::ZeroCopyOptions): same-node diff and
-  // page payloads are parsed as views into the delivered buffer instead of
-  // deserialized copies. Wall-clock only — modeled times and all pre-existing
-  // counters are bit-for-bit identical either way. Off by default;
-  // OMSP_ZEROCOPY=off|on|<bytes> overrides at DsmSystem construction when
-  // zerocopy.enabled is false.
+  // Zero-copy intra-node delivery (net::ZeroCopyOptions; OMSP_ZEROCOPY):
+  // same-node diff and page payloads are parsed as views into the delivered
+  // buffer instead of deserialized copies. Wall-clock only — modeled times
+  // and all pre-existing counters are bit-for-bit identical either way.
   net::ZeroCopyOptions zerocopy;
 
-  // Collective engine (coll::Schedule): central keeps the seed's
+  // Collective engine (coll::Schedule; OMSP_COLL): central keeps the seed's
   // manager-based barrier bit-for-bit; tree reduces arrivals up the
   // topology-derived leader tree and broadcasts departures down it
-  // (docs/PROTOCOL.md "Hierarchical collectives"). Central by default;
-  // OMSP_COLL=central|tree|tree:<bytes> overrides at DsmSystem construction
-  // when coll.tree is false.
+  // (docs/PROTOCOL.md "Hierarchical collectives").
   coll::Options coll;
 
-  // Data-race detection (race::Detector): vector-clock concurrency checks
-  // over flushed diffs, swept at barriers and joins (docs/PROTOCOL.md "Race
-  // detection under lazy release consistency"). Off by default — with the
-  // detector off every modeled number stays bit-for-bit identical to the
-  // seed; OMSP_RACE=off|page|word overrides at DsmSystem construction when
-  // race.enabled() is false.
+  // Data-race detection (race::Detector; OMSP_RACE): vector-clock
+  // concurrency checks over flushed diffs, swept at barriers and joins
+  // (docs/PROTOCOL.md "Race detection under lazy release consistency"). Off,
+  // every modeled number stays bit-for-bit identical to the seed.
   race::Options race;
+
+  // Chaos mode (OMSP_CHAOS): sleep 1-21 us at this permille of protocol
+  // decision points to shake out interleavings the scheduler rarely
+  // produces. 0 = off.
+  unsigned chaos_permille = 0;
 
   bool use_alias_mapping() const {
     return alias_mapping.value_or(mode == Mode::kThread);

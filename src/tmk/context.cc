@@ -1,8 +1,6 @@
 #include "tmk/context.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "common/check.hpp"
@@ -14,56 +12,18 @@
 namespace omsp::tmk {
 
 namespace {
-// Debug tracing for one page, enabled with OMSP_TRACE_PAGE=<id> (or -2 for
-// all pages); OMSP_TRACE_OFF selects the in-page byte offset whose 64-bit
-// value is printed with each event.
-int trace_page() {
-  static int page = [] {
-    const char* env = std::getenv("OMSP_TRACE_PAGE");
-    return env != nullptr ? std::atoi(env) : -1;
-  }();
-  return page;
-}
-std::size_t trace_off() {
-  static std::size_t off = [] {
-    const char* env = std::getenv("OMSP_TRACE_OFF");
-    return env != nullptr ? static_cast<std::size_t>(std::atoi(env)) : 0;
-  }();
-  return off;
-}
-#define OMSP_PTRACE(p, ...)                                                   \
-  do {                                                                        \
-    if (trace_page() == -2 || static_cast<int>(p) == trace_page())            \
-        [[unlikely]] {                                                        \
-      char tbuf_[512];                                                        \
-      int tn_ =                                                               \
-          std::snprintf(tbuf_, sizeof tbuf_, "[ctx%u pg%u] ", id_, (p));      \
-      tn_ += std::snprintf(tbuf_ + tn_, sizeof tbuf_ - tn_, __VA_ARGS__);     \
-      tbuf_[tn_++] = '\n';                                                    \
-      std::fwrite(tbuf_, 1, tn_, stderr);                                     \
-    }                                                                         \
-  } while (0)
-// Chaos mode (OMSP_CHAOS=<permille>): sleeps a random few microseconds at
+// Chaos mode (Config::chaos_permille): sleeps a random few microseconds at
 // protocol decision points to shake out interleavings the scheduler would
-// rarely produce. Zero overhead when the variable is unset.
-unsigned chaos_permille() {
-  // Read dynamically (not latched) so tests can toggle chaos per-fixture.
-  // The getenv cost only occurs at protocol decision points, never on the
-  // plain load/store fast path.
-  const char* env = std::getenv("OMSP_CHAOS");
-  return env != nullptr ? static_cast<unsigned>(std::atoi(env)) : 0u;
-}
-
-void chaos_point() {
-  const unsigned p = chaos_permille();
-  if (p == 0) return;
+// rarely produce.
+void chaos_point(unsigned permille) {
+  if (permille == 0) return;
   thread_local std::uint64_t state =
       0x9e3779b97f4a7c15ULL ^
       reinterpret_cast<std::uintptr_t>(&state);
   state ^= state << 13;
   state ^= state >> 7;
   state ^= state << 17;
-  if (state % 1000 < p) {
+  if (state % 1000 < permille) {
     timespec ts{0, static_cast<long>(1000 + state % 20000)}; // 1-21 us
     nanosleep(&ts, nullptr);
   }
@@ -117,7 +77,6 @@ void DsmContext::on_fault(void* addr, bool is_write) {
       rs.clock() != nullptr ? rs.clock()->now_us() : 0;
 
   const PageId p = heap_.page_of(addr);
-  OMSP_PTRACE(p, "fault is_write=%d", is_write ? 1 : 0);
   if (race_ != nullptr) race_->record_access(id_, p, is_write);
   std::unique_lock<std::mutex> lock(page_lock(p));
   PageMeta& meta = pages_[p];
@@ -173,7 +132,6 @@ void DsmContext::set_prot(PageId p, Protection prot) {
   PageMeta& meta = pages_[p];
   heap_.protect(p, prot);
   meta.prot = prot;
-  OMSP_PTRACE(p, "set_prot %d", static_cast<int>(prot));
 }
 
 void DsmContext::make_twin(PageId p) {
@@ -196,8 +154,6 @@ void DsmContext::make_twin(PageId p) {
   }
   stats_->add(Counter::kTwins);
   OMSP_TRACE_EVENT(kTwinCreate, id_, p);
-  OMSP_PTRACE(p, "twin made val=%ld",
-              reinterpret_cast<const long*>(meta.twin.get())[trace_off() / 8]);
   if (auto* clock = sim::VirtualClock::current(); clock != nullptr)
     clock->charge(config_.cost.twin_us);
   std::lock_guard<std::mutex> dl(dirty_mutex_);
@@ -359,8 +315,6 @@ void DsmContext::fetch_and_apply(PageId p, std::unique_lock<std::mutex>& lock) {
           if (clock != nullptr) clock->advance_to(ready);
           const double residual = clock != nullptr ? clock->now_us() - t0 : 0;
           if (maxseq >= nd.want) {
-            OMSP_PTRACE(p, "prefetch hit creator=%u bytes=%llu", nd.creator,
-                        static_cast<unsigned long long>(used_bytes));
             stats_->add(Counter::kPrefetchHits);
             OMSP_TRACE_EVENT(kPrefetchHit, id_, p, used_bytes,
                              router_.same_node(id_, nd.creator)
@@ -378,15 +332,11 @@ void DsmContext::fetch_and_apply(PageId p, std::unique_lock<std::mutex>& lock) {
       if (needs.empty()) continue;
     }
 
-    for (const Need& nd : needs)
-      OMSP_PTRACE(p, "fetch need creator=%u have=%u want=%u", nd.creator,
-                  nd.have, nd.want);
-
     // Fetch with no page lock held: a remote context may concurrently be
     // fetching *our* diffs for the same page (mutual false sharing) and its
     // request handler takes our page lock.
     lock.unlock();
-    chaos_point();
+    chaos_point(config_.chaos_permille);
     if (overlap_async_fetch()) {
       // Overlapped round: issue every per-creator request at once, then
       // collect. The requests serialize on this sender's occupancy but their
@@ -423,7 +373,6 @@ void DsmContext::fetch_and_apply(PageId p, std::unique_lock<std::mutex>& lock) {
         std::lock_guard<std::mutex> tl(table_mutex_);
         IntervalSeq& a = applied_[std::size_t{p} * nc_ + need.creator];
         a = std::max(a, maxseq);
-        OMSP_PTRACE(p, "applied[%u] -> %u (async)", need.creator, a);
       }
       if (clock != nullptr) clock->advance_to(last_complete);
       OMSP_TRACE_EVENT(kDiffFetchAsync, id_, p, total_bytes,
@@ -453,7 +402,6 @@ void DsmContext::fetch_and_apply(PageId p, std::unique_lock<std::mutex>& lock) {
           std::lock_guard<std::mutex> tl(table_mutex_);
           IntervalSeq& a = applied_[std::size_t{p} * nc_ + need.creator];
           a = std::max(a, maxseq);
-          OMSP_PTRACE(p, "applied[%u] -> %u", need.creator, a);
         }
       }
     }
@@ -477,11 +425,6 @@ void DsmContext::fetch_and_apply(PageId p, std::unique_lock<std::mutex>& lock) {
     auto* clock = sim::VirtualClock::current();
     for (const Got& g : got) {
       apply_diff(g.view, dst);
-      OMSP_PTRACE(p,
-                  "apply diff creator=%u seq=%u bytes=%zu vtsum=%llu -> val=%ld",
-                  g.creator, g.seq, g.view.size(),
-                  static_cast<unsigned long long>(g.vtsum),
-                  reinterpret_cast<const long*>(dst)[trace_off() / 8]);
       // A locally-dirty page must absorb remote diffs into its twin as well:
       // otherwise this context's next diff would re-export the remote bytes
       // under its own (possibly concurrent) interval, and a third context
@@ -796,7 +739,7 @@ void DsmContext::fetch_from_home(PageId p,
 }
 
 void DsmContext::flush_page_diff_locked(PageId p) {
-  chaos_point();
+  chaos_point(config_.chaos_permille);
   PageMeta& meta = pages_[p];
   OMSP_CHECK(meta.twin != nullptr);
   // Write-protect BEFORE diffing: a sibling thread of this node may be
@@ -848,7 +791,6 @@ void DsmContext::flush_page_diff_locked(PageId p) {
       sync_vt_[id_] = tag; // own intervals are always sync-known to self
       stats_->add(Counter::kIntervals);
       OMSP_TRACE_EVENT(kIntervalClose, id_, tag, 1);
-      OMSP_PTRACE(p, "flush mints interval seq=%u", tag);
       if (race_ != nullptr) {
         minted = true;
         minted_vt = sync_vt_;
@@ -900,10 +842,6 @@ void DsmContext::flush_page_diff_locked(PageId p) {
   if (auto* clock = sim::VirtualClock::current(); clock != nullptr)
     clock->charge(config_.cost.diff_create_base_us +
                   config_.cost.diff_byte_us * kPageSize);
-  OMSP_PTRACE(p, "flush tag=%u bytes=%zu state=%d twin=%ld cur=%ld", tag,
-              diff.size(), static_cast<int>(meta.state),
-              reinterpret_cast<const long*>(meta.twin.get())[trace_off() / 8],
-              reinterpret_cast<const long*>(current)[trace_off() / 8]);
   if (!diff.empty()) {
     stored_diff_bytes_.fetch_add(diff.size(), std::memory_order_relaxed);
     if (!meta.stored_diffs.empty() && meta.stored_diffs.back().first == tag) {
@@ -955,8 +893,6 @@ std::optional<IntervalRecord> DsmContext::close_interval() {
       close_svt = sync_vt_;
     }
   }
-  for (PageId p : rec.pages)
-    OMSP_PTRACE(p, "close lists page in interval seq=%u", rec.seq);
   stats_->add(Counter::kIntervals);
   OMSP_TRACE_EVENT(kIntervalClose, id_, rec.seq, rec.pages.size());
 
@@ -1060,7 +996,7 @@ std::optional<IntervalRecord> DsmContext::close_interval() {
 
 void DsmContext::apply_records(const std::vector<IntervalRecord>& records,
                                bool sync) {
-  chaos_point();
+  chaos_point(config_.chaos_permille);
   std::vector<PageId> to_invalidate;
   std::uint64_t notices = 0;
   {
@@ -1093,9 +1029,6 @@ void DsmContext::apply_records(const std::vector<IntervalRecord>& records,
         ++notices;
         IntervalSeq& pend = pending_[std::size_t{p} * nc_ + rec.creator];
         if (rec.seq > pend) pend = rec.seq;
-        OMSP_PTRACE(p, "notice creator=%u seq=%u pend=%u applied=%u",
-                    rec.creator, rec.seq, pend,
-                    applied_[std::size_t{p} * nc_ + rec.creator]);
         if (config_.protocol == Protocol::kHomeLRC && home_of(p) == id_)
           continue; // the home's copy is kept current by eager diffs
         if (pend > applied_[std::size_t{p} * nc_ + rec.creator])
@@ -1122,7 +1055,6 @@ void DsmContext::apply_records(const std::vector<IntervalRecord>& records,
       set_prot(p, Protection::kNone);
       stats_->add(Counter::kPageInvalidations);
       OMSP_TRACE_EVENT(kInvalidate, id_, p);
-      OMSP_PTRACE(p, "invalidated");
     }
   }
 }
@@ -1245,7 +1177,7 @@ void DsmContext::flush_all_diffs() {
 // --- overlapped fetch / barrier prefetch ------------------------------------
 
 bool DsmContext::overlap_async_fetch() const {
-  return config_.overlap.enabled && config_.overlap.async_fetch &&
+  return config_.overlap.enabled &&
          config_.protocol == Protocol::kLazyRC &&
          router_.transport().supports_async();
 }

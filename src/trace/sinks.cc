@@ -1,5 +1,6 @@
 #include "trace/sinks.hpp"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
@@ -323,6 +324,26 @@ void Tracer::finish(const StatsSnapshot& stats) {
   if (!opts_.binary_path.empty())
     write_binary(opts_.binary_path, collected_, dropped_total(), stats);
   if (!opts_.json_path.empty()) write_chrome_json(opts_.json_path, collected_);
+}
+
+std::vector<Event> page_timeline(const std::vector<Event>& events,
+                                 std::uint64_t page) {
+  std::vector<Event> out;
+  for (const Event& e : events) {
+    using enum EventKind;
+    switch (e.kind) {
+    case kPageFault: case kMprotect: case kTwinCreate: case kDiffCreate:
+    case kDiffApply: case kDiffFetch: case kDiffFetchAsync: case kPrefetchHit:
+    case kInvalidate: case kFullPageFetch:
+      if (e.arg0 == page) out.push_back(e);
+      break;
+    default: break;
+    }
+  }
+  std::stable_sort(out.begin(), out.end(), [](const Event& a, const Event& b) {
+    return a.ts_us < b.ts_us;
+  });
+  return out;
 }
 
 } // namespace omsp::trace

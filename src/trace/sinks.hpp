@@ -74,4 +74,10 @@ void write_chrome_json(const std::string& path,
 // live StatsBoard increments; the returned snapshot is the all-context sum.
 StatsSnapshot reconstruct_counters(const std::vector<Event>& events);
 
+// One page's protocol history (`omsp-trace pages --page`): its faults,
+// mprotects, twins, diff creates/applies/fetches, prefetch hits,
+// invalidations and full-page fetches, in virtual-time order.
+std::vector<Event> page_timeline(const std::vector<Event>& events,
+                                 std::uint64_t page);
+
 } // namespace omsp::trace

@@ -2,6 +2,7 @@
 //
 //   omsp-trace summary <run.trace>            event census + audit verdict
 //   omsp-trace pages   <run.trace> [--top N]  per-page fault/diff heatmap
+//   omsp-trace pages   <run.trace> --page P   page P's protocol history
 //   omsp-trace threads <run.trace>            per-rank virtual-time breakdown
 //   omsp-trace races   <run.trace>            data-race report digest (v7)
 //   omsp-trace check   <run.trace>            trace totals vs embedded counters
@@ -199,6 +200,30 @@ void cmd_pages(const TraceFile& tf, std::size_t top) {
     for (const auto h : heat)
       std::fputs(shades[h * 7 / peak], stdout);
     std::printf("]\n");
+  }
+}
+
+// One page's protocol history in virtual-time order — the page-debugging
+// view: who faulted, twinned, diffed, fetched and invalidated it, and when.
+void cmd_page_timeline(const TraceFile& tf, std::uint64_t page) {
+  const std::vector<Event> events = page_timeline(tf.events, page);
+  std::printf("page %" PRIu64 ": %zu protocol events\n\n", page,
+              events.size());
+  std::printf("%12s %5s %5s  %-17s %s\n", "ts_us", "ctx", "rank", "event",
+              "detail");
+  static const char* prot[] = {"none", "read", "read-write"};
+  for (const Event& e : events) {
+    std::printf("%12.2f %5u %5u  %-17s", e.ts_us, e.ctx, e.rank,
+                event_name(e.kind));
+    if (e.kind == EventKind::kPageFault)
+      std::printf(" %s, %.2f us", (e.flags & kFlagWrite) ? "write" : "read",
+                  e.dur_us);
+    else if (e.kind == EventKind::kMprotect)
+      std::printf(" %s", prot[std::min<std::uint64_t>(e.arg1, 2)]);
+    else if (e.arg1 != 0) // diff create/apply/fetch, prefetch hit: bytes
+      std::printf(" %" PRIu64 " bytes%s", e.arg1,
+                  (e.flags & kFlagOffNode) ? ", off-node" : "");
+    std::printf("\n");
   }
 }
 
@@ -452,9 +477,15 @@ int main(int argc, char** argv) {
   }
   if (cmd == "pages") {
     std::size_t top = 20;
-    for (int i = 3; i < argc; ++i)
-      if (std::string(argv[i]) == "--top" && i + 1 < argc)
+    for (int i = 3; i < argc; ++i) {
+      const std::string a = argv[i];
+      if (a == "--page" && i + 1 < argc) {
+        cmd_page_timeline(tf, std::strtoull(argv[++i], nullptr, 10));
+        return 0;
+      }
+      if (a == "--top" && i + 1 < argc)
         top = static_cast<std::size_t>(std::atoll(argv[++i]));
+    }
     cmd_pages(tf, top);
     return 0;
   }

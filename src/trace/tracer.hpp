@@ -49,9 +49,7 @@ struct Options {
   std::string binary_path; // raw events + embedded StatsSnapshot (omsp-trace)
   std::string json_path;   // Chrome trace_event JSON (Perfetto/chrome://tracing)
 
-  // Environment fallback: OMSP_TRACE_BIN=<path> / OMSP_TRACE_JSON=<path>
-  // enable tracing with the given sink(s) without touching code.
-  static Options from_env();
+  bool operator==(const Options&) const = default;
 };
 
 // SPSC ring: the owning thread pushes, the quiescent-point drainer pops.

@@ -1,10 +1,10 @@
 // Tests that compare a reference run against a feature run (or one run
 // against another) rely on the reference really being the seed
-// configuration. The CI matrix exports OMSP_OVERLAP=1 / OMSP_PERTURB_SEED=<n>,
-// which DsmSystem consults whenever the Config leaves the feature off —
-// silently flipping the reference run. Instantiate a ScopedEnvClear to
-// neutralize the overrides for the test's scope; the destructor restores
-// the outer values.
+// configuration. CI matrix jobs export OMSP_* knobs (net/knobs.hpp), which
+// DsmSystem consults whenever the Config leaves the feature off — silently
+// flipping the reference run. Instantiate a ScopedEnvClear to clear every
+// knob in the table for the test's scope; the destructor restores the outer
+// values.
 #pragma once
 
 #include <cstdlib>
@@ -13,19 +13,18 @@
 #include <utility>
 #include <vector>
 
+#include "net/knobs.hpp"
+
 namespace omsp::test {
 
 class ScopedEnvClear {
 public:
   ScopedEnvClear() {
-    for (const char* n : {"OMSP_OVERLAP", "OMSP_OVERLAP_FETCH",
-                          "OMSP_OVERLAP_PREFETCH", "OMSP_PERTURB_SEED",
-                          "OMSP_LOSS_PROB", "OMSP_COLL", "OMSP_ZEROCOPY",
-                          "OMSP_RACE", "OMSP_TOPOLOGY"}) {
-      const char* v = std::getenv(n);
-      saved_.emplace_back(n, v != nullptr ? std::optional<std::string>(v)
-                                          : std::nullopt);
-      ::unsetenv(n);
+    for (const knobs::Knob& k : knobs::table()) {
+      const char* v = std::getenv(k.name);
+      saved_.emplace_back(k.name, v != nullptr ? std::optional<std::string>(v)
+                                               : std::nullopt);
+      ::unsetenv(k.name);
     }
   }
   ~ScopedEnvClear() {

@@ -1,11 +1,10 @@
 // coll::Schedule derivation on every topology preset (leaders, levels,
-// fan-out shape, asymmetric node sizes), the flat-vs-tree switchover, the
-// OMSP_COLL spec grammar and its malformed-spec hard error. The worked
+// fan-out shape, asymmetric node sizes), the flat-vs-tree switchover and the
+// spec grammar. The worked
 // schedule-derivation example in docs/TOPOLOGY.md is asserted here
 // (FatTreeWorkedExample) so the documented numbers cannot drift.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <map>
 #include <vector>
 
@@ -56,24 +55,6 @@ TEST(CollOptions, MalformedSpecsRejected) {
     SCOPED_TRACE(bad);
     EXPECT_FALSE(Options::parse(bad).has_value());
   }
-}
-
-TEST(CollOptions, EnvResolution) {
-  ::unsetenv("OMSP_COLL");
-  EXPECT_FALSE(Options::from_env().tree);
-  ::setenv("OMSP_COLL", "tree:2048", 1);
-  const Options o = Options::from_env();
-  EXPECT_TRUE(o.tree);
-  EXPECT_EQ(o.flat_max_bytes, 2048u);
-  ::unsetenv("OMSP_COLL");
-}
-
-TEST(CollOptionsDeathTest, MalformedEnvIsHardError) {
-  // A typo must not silently fall back to the centralized engine, mirroring
-  // OMSP_TOPOLOGY's posture.
-  ::setenv("OMSP_COLL", "ring", 1);
-  EXPECT_DEATH((void)Options::from_env(), "malformed OMSP_COLL");
-  ::unsetenv("OMSP_COLL");
 }
 
 TEST(CollSchedule, FlatStar) {

@@ -1,24 +1,20 @@
 // Chaos-mode stress: random microsecond delays at protocol decision points
-// (OMSP_CHAOS) shake out interleavings the scheduler rarely produces, and
-// try-lock semantics under contention.
+// (Config::chaos_permille, OMSP_CHAOS) shake out interleavings the scheduler
+// rarely produces, and try-lock semantics under contention.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <vector>
 
+#include "../common/workloads.hpp"
 #include "core/runtime.hpp"
 #include "tmk/system.hpp"
 
 namespace omsp::tmk {
 namespace {
 
-class ChaosEnv : public ::testing::Test {
-protected:
-  void SetUp() override { setenv("OMSP_CHAOS", "200", 1); } // 20% of points
-  void TearDown() override { unsetenv("OMSP_CHAOS"); }
-};
+constexpr unsigned kPermille = 200; // 20% of protocol decision points
 
-TEST_F(ChaosEnv, TriangularPatternStillExact) {
+TEST(ChaosEnv, TriangularPatternStillExact) {
   const std::int64_t N = 24, D = 64;
   const long M = 1000003;
   std::vector<long> ref(N * D, 1);
@@ -28,31 +24,24 @@ TEST_F(ChaosEnv, TriangularPatternStillExact) {
       for (std::int64_t k = 0; k < D; ++k)
         ref[j * D + k] = (ref[j * D + k] + ref[i * D + k]) % M;
   }
+  Config cfg;
+  cfg.topology = sim::Topology(2, 2);
+  cfg.cost = sim::CostModel::zero();
+  cfg.chaos_permille = kPermille;
   for (int trial = 0; trial < 3; ++trial) {
-    tmk::Config cfg;
-    cfg.topology = sim::Topology(2, 2);
-    cfg.cost = sim::CostModel::zero();
-    core::OmpRuntime rt(cfg);
-    auto a = rt.alloc_page_aligned<long>(N * D);
-    for (std::int64_t i = 0; i < N * D; ++i) a[i] = 1;
-    for (std::int64_t i = 0; i < N; ++i) {
-      for (std::int64_t k = 0; k < D; ++k) a[i * D + k] = a[i * D + k] * 3 % M;
-      rt.parallel_for(i + 1, N, core::Schedule::static_chunked(1),
-                      [&](std::int64_t j) {
-                        for (std::int64_t k = 0; k < D; ++k)
-                          a[j * D + k] = (a[j * D + k] + a[i * D + k]) % M;
-                      });
-    }
-    for (std::int64_t x = 0; x < N * D; ++x) ASSERT_EQ(a[x], ref[x]) << x;
+    std::vector<long> got;
+    test::run_triangular(cfg, got);
+    ASSERT_EQ(got, ref);
   }
 }
 
-TEST_F(ChaosEnv, FalseSharingMergeUnderDelays) {
+TEST(ChaosEnv, FalseSharingMergeUnderDelays) {
   Config cfg;
   cfg.topology = sim::Topology(4, 1);
   cfg.mode = Mode::kProcess;
   cfg.heap_bytes = 1u << 20;
   cfg.cost = sim::CostModel::zero();
+  cfg.chaos_permille = kPermille;
   for (int trial = 0; trial < 3; ++trial) {
     DsmSystem dsm(cfg);
     auto page = dsm.alloc_page_aligned<int>(1024);

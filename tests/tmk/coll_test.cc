@@ -13,6 +13,7 @@
 #include "../common/env_guard.hpp"
 #include "core/runtime.hpp"
 #include "net/collective.hpp"
+#include "net/knobs.hpp"
 
 namespace omsp::tmk {
 namespace {
@@ -159,7 +160,7 @@ TEST(DsmColl, TreeBarrierCheaperOnWideMachineWithOccupancy) {
 }
 
 // OMSP_TOPOLOGY + OMSP_COLL=tree stacking: the env topology is resolved at
-// config-assembly time (Topology::from_env_or — the bench path) and the env
+// config-assembly time (bench::paper_topology's knob row) and the env
 // collective engine inside DsmSystem, and the tree schedule must be derived
 // from the OVERRIDING topology — never cached from the config default.
 TEST(DsmColl, EnvTopologyStacksWithEnvTreeColl) {
@@ -167,9 +168,9 @@ TEST(DsmColl, EnvTopologyStacksWithEnvTreeColl) {
   ::setenv("OMSP_COLL", "tree", 1);
   ::setenv("OMSP_TOPOLOGY", "fat:2x2x2", 1);
   Config env_cfg;
-  env_cfg.topology = sim::Topology::from_env_or(sim::Topology::sp2());
+  env_cfg.topology = knobs::resolve("OMSP_TOPOLOGY").topology;
   env_cfg.cost = sim::CostModel::zero();
-  const RunResult from_env = run_ring_stencil(env_cfg);
+  const RunResult env_run = run_ring_stencil(env_cfg);
   ::unsetenv("OMSP_TOPOLOGY");
   ::unsetenv("OMSP_COLL");
 
@@ -179,14 +180,14 @@ TEST(DsmColl, EnvTopologyStacksWithEnvTreeColl) {
   code_cfg.topology = sim::Topology::fat_tree(2, 2, 2);
   code_cfg.cost = sim::CostModel::zero();
   const RunResult reference = run_ring_stencil(tree_config(code_cfg));
-  EXPECT_EQ(from_env.values, reference.values);
-  EXPECT_EQ(from_env.stats[Counter::kCollStages],
+  EXPECT_EQ(env_run.values, reference.values);
+  EXPECT_EQ(env_run.stats[Counter::kCollStages],
             reference.stats[Counter::kCollStages]);
-  EXPECT_EQ(from_env.stats[Counter::kCollBytes],
+  EXPECT_EQ(env_run.stats[Counter::kCollBytes],
             reference.stats[Counter::kCollBytes]);
-  EXPECT_EQ(from_env.stats[Counter::kMsgsOffNode],
+  EXPECT_EQ(env_run.stats[Counter::kMsgsOffNode],
             reference.stats[Counter::kMsgsOffNode]);
-  EXPECT_GT(from_env.stats[Counter::kCollStages], 0u);
+  EXPECT_GT(env_run.stats[Counter::kCollStages], 0u);
 
   // And it is NOT the default machine's episode: sp2 is a 16-rank machine,
   // fat:2x2x2 an 8-rank one, so a stale cached default would have run twice
@@ -194,17 +195,18 @@ TEST(DsmColl, EnvTopologyStacksWithEnvTreeColl) {
   Config stale_cfg;
   stale_cfg.cost = sim::CostModel::zero();
   const RunResult stale = run_ring_stencil(tree_config(stale_cfg));
-  EXPECT_NE(from_env.values.size(), stale.values.size());
+  EXPECT_NE(env_run.values.size(), stale.values.size());
 }
 
 TEST(DsmCollDeathTest, MalformedEnvTopologyIsHardError) {
-  // A typo'd machine must never silently bench the default one — mirror of
-  // CollOptionsDeathTest for the stacked override.
+  // A typo'd machine must never silently bench the default one, nor let a
+  // DsmSystem start beside the stacked tree override.
   const ScopedEnvClear env_guard;
   ::setenv("OMSP_COLL", "tree", 1);
   ::setenv("OMSP_TOPOLOGY", "fat:2x", 1);
-  EXPECT_DEATH((void)sim::Topology::from_env_or(sim::Topology::sp2()),
-               "OMSP_CHECK failed");
+  EXPECT_DEATH((void)knobs::resolve("OMSP_TOPOLOGY"),
+               "malformed OMSP_TOPOLOGY");
+  EXPECT_DEATH({ DsmSystem dsm(Config{}); }, "malformed OMSP_TOPOLOGY");
   ::unsetenv("OMSP_TOPOLOGY");
   ::unsetenv("OMSP_COLL");
 }

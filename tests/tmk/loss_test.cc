@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "../common/env_guard.hpp"
+#include "../common/workloads.hpp"
 #include "core/runtime.hpp"
 #include "net/transport.hpp"
 #include "trace/sinks.hpp"
@@ -20,6 +21,7 @@
 namespace omsp::tmk {
 namespace {
 
+using test::run_triangular;
 using test::ScopedEnvClear;
 
 // Loss-only perturbation: jitter/duplicate/reorder off, so the only injected
@@ -48,27 +50,6 @@ net::PerturbOptions drop_every_first(std::uint64_t seed) {
   o.drop_first = true;
   o.max_retries = 8;
   return o;
-}
-
-// The protocol-hostile workload shared with perturb/overlap tests: a
-// triangular elimination pattern where every iteration's writes are read by
-// every later iteration across all contexts.
-void run_triangular(const Config& base, std::vector<long>& out) {
-  const std::int64_t N = 24, D = 64;
-  const long M = 1000003;
-  Config cfg = base;
-  core::OmpRuntime rt(cfg);
-  auto a = rt.alloc_page_aligned<long>(N * D);
-  for (std::int64_t i = 0; i < N * D; ++i) a[i] = 1;
-  for (std::int64_t i = 0; i < N; ++i) {
-    for (std::int64_t k = 0; k < D; ++k) a[i * D + k] = a[i * D + k] * 3 % M;
-    rt.parallel_for(i + 1, N, core::Schedule::static_chunked(1),
-                    [&](std::int64_t j) {
-                      for (std::int64_t k = 0; k < D; ++k)
-                        a[j * D + k] = (a[j * D + k] + a[i * D + k]) % M;
-                    });
-  }
-  out.assign(a.local(), a.local() + N * D);
 }
 
 struct LossParam {

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "../common/env_guard.hpp"
+#include "../common/workloads.hpp"
 #include "core/runtime.hpp"
 #include "net/transport.hpp"
 #include "trace/sinks.hpp"
@@ -17,12 +18,15 @@
 namespace omsp::tmk {
 namespace {
 
+using test::expect_deterministic_counters_eq;
+using test::latency_model;
+using test::run_triangular;
 using test::ScopedEnvClear;
 
 net::OverlapOptions overlap_all() {
   net::OverlapOptions o;
   o.enabled = true;
-  return o; // async_fetch + prefetch
+  return o; // async fetch + prefetch
 }
 
 net::OverlapOptions overlap_fetch_only() {
@@ -30,36 +34,6 @@ net::OverlapOptions overlap_fetch_only() {
   o.enabled = true;
   o.prefetch = false;
   return o;
-}
-
-// Flat off-node latency with service occupancy and no host-CPU folding:
-// makespans are purely modeled protocol time, so timing assertions are exact
-// and reproducible.
-sim::CostModel latency_model() {
-  auto m = sim::CostModel::zero();
-  m.net_latency_us = 100.0;
-  m.handler_service_us = 10.0;
-  return m;
-}
-
-// The perturbation suite's triangular elimination: lock-free but heavily
-// multi-writer across barriers — the most protocol-hostile value check.
-void run_triangular(const Config& base, std::vector<long>& out) {
-  const std::int64_t N = 24, D = 64;
-  const long M = 1000003;
-  Config cfg = base;
-  core::OmpRuntime rt(cfg);
-  auto a = rt.alloc_page_aligned<long>(N * D);
-  for (std::int64_t i = 0; i < N * D; ++i) a[i] = 1;
-  for (std::int64_t i = 0; i < N; ++i) {
-    for (std::int64_t k = 0; k < D; ++k) a[i * D + k] = a[i * D + k] * 3 % M;
-    rt.parallel_for(i + 1, N, core::Schedule::static_chunked(1),
-                    [&](std::int64_t j) {
-                      for (std::int64_t k = 0; k < D; ++k)
-                        a[j * D + k] = (a[j * D + k] + a[i * D + k]) % M;
-                    });
-  }
-  out.assign(a.local(), a.local() + N * D);
 }
 
 // Phased producer/consumer: each rank owns one page, writes it, and after a
@@ -110,28 +84,6 @@ NeighborResult run_neighbor(const Config& base, double compute_us = 0) {
   res.stats = dsm.stats();
   res.makespan_us = dsm.master_time_us();
   return res;
-}
-
-// Counters that are a deterministic function of the phased workload. The
-// piggyback-dependent quantities (byte totals, intervals closed, write
-// notices) are wall-clock dependent even on the seed InlineTransport: a
-// service-time twin flush mints an interval carrying the creator's *current*
-// vector time, which races with the vt merges of the creator's own
-// concurrent fetches. Message counts, faults and diffs are exact.
-constexpr Counter kDeterministicCounters[] = {
-    Counter::kMsgsSent,         Counter::kMsgsOffNode,
-    Counter::kPageFaults,       Counter::kReadFaults,
-    Counter::kWriteFaults,      Counter::kTwins,
-    Counter::kDiffsCreated,     Counter::kDiffsApplied,
-    Counter::kDiffBytesCreated, Counter::kFullPageFetches,
-    Counter::kBarriers,         Counter::kPrefetchBatches,
-    Counter::kPrefetchPagesFetched, Counter::kPrefetchHits,
-};
-
-void expect_deterministic_counters_eq(const StatsSnapshot& a,
-                                      const StatsSnapshot& b) {
-  for (const Counter c : kDeterministicCounters)
-    EXPECT_EQ(a[c], b[c]) << "counter " << counter_name(c);
 }
 
 Config neighbor_config() {
@@ -262,7 +214,7 @@ TEST(OverlappedFetch, MultiWriterStallIsMaxNotSumOfRtts) {
 
   EXPECT_EQ(async_sums, inline_sums);
   // Identical traffic (message counts; byte totals carry the racy piggyback
-  // variance described at kDeterministicCounters)...
+  // variance described at test::kDeterministicCounters)...
   expect_deterministic_counters_eq(async_stats, inline_stats);
   // ...but the three-creator fetch rounds overlapped: each saves about two
   // round trips, across four iterations. Require at least a few RTTs of win.
@@ -412,22 +364,6 @@ INSTANTIATE_TEST_SUITE_P(Modes, OverlapTraceAudit,
                            return info.param == Mode::kThread ? "Thread"
                                                               : "Process";
                          });
-
-// --------------------------------------------------------- env plumbing -----
-
-TEST(OverlapOptions, FromEnvParsesMasks) {
-  const ScopedEnvClear env_guard; // also restores the outer values afterwards
-  ::setenv("OMSP_OVERLAP", "1", 1);
-  ::setenv("OMSP_OVERLAP_PREFETCH", "0", 1);
-  auto o = net::OverlapOptions::from_env();
-  EXPECT_TRUE(o.enabled);
-  EXPECT_TRUE(o.async_fetch);
-  EXPECT_FALSE(o.prefetch);
-  ::unsetenv("OMSP_OVERLAP_PREFETCH");
-  ::unsetenv("OMSP_OVERLAP");
-  o = net::OverlapOptions::from_env();
-  EXPECT_FALSE(o.enabled);
-}
 
 } // namespace
 } // namespace omsp::tmk

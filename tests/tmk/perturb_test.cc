@@ -8,12 +8,15 @@
 
 #include <vector>
 
+#include "../common/workloads.hpp"
 #include "core/runtime.hpp"
 #include "net/transport.hpp"
 #include "trace/sinks.hpp"
 
 namespace omsp::tmk {
 namespace {
+
+using test::run_triangular;
 
 net::PerturbOptions perturb_with_seed(std::uint64_t seed) {
   net::PerturbOptions o;
@@ -30,24 +33,6 @@ net::PerturbOptions duplicate_everything() {
   o.duplicate_prob = 1.0;
   o.reorder_prob = 0;
   return o;
-}
-
-void run_triangular(const Config& base, std::vector<long>& out) {
-  const std::int64_t N = 24, D = 64;
-  const long M = 1000003;
-  Config cfg = base;
-  core::OmpRuntime rt(cfg);
-  auto a = rt.alloc_page_aligned<long>(N * D);
-  for (std::int64_t i = 0; i < N * D; ++i) a[i] = 1;
-  for (std::int64_t i = 0; i < N; ++i) {
-    for (std::int64_t k = 0; k < D; ++k) a[i * D + k] = a[i * D + k] * 3 % M;
-    rt.parallel_for(i + 1, N, core::Schedule::static_chunked(1),
-                    [&](std::int64_t j) {
-                      for (std::int64_t k = 0; k < D; ++k)
-                        a[j * D + k] = (a[j * D + k] + a[i * D + k]) % M;
-                    });
-  }
-  out.assign(a.local(), a.local() + N * D);
 }
 
 struct PerturbParam {

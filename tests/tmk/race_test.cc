@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "../common/env_guard.hpp"
+#include "../common/workloads.hpp"
 #include "apps/barnes.hpp"
 #include "apps/fft3d.hpp"
 #include "apps/mgs.hpp"
@@ -28,14 +29,8 @@
 namespace omsp::tmk {
 namespace {
 
+using test::latency_model;
 using test::ScopedEnvClear;
-
-sim::CostModel latency_model() {
-  auto m = sim::CostModel::zero();
-  m.net_latency_us = 100.0;
-  m.handler_service_us = 10.0;
-  return m;
-}
 
 // ------------------------------------------------- the racy SOR variant ----
 //
@@ -274,18 +269,6 @@ RunResult run_round_robin(const Config& base) {
   return res;
 }
 
-// The same deterministic-counter set the zerocopy suite pins: quantities the
-// workload fixes exactly (the piggyback-dependent byte totals vary run-to-run
-// even on the seed, see tests/tmk/overlap_test.cc).
-constexpr Counter kDeterministicCounters[] = {
-    Counter::kMsgsSent,         Counter::kMsgsOffNode,
-    Counter::kPageFaults,       Counter::kReadFaults,
-    Counter::kWriteFaults,      Counter::kTwins,
-    Counter::kDiffsCreated,     Counter::kDiffsApplied,
-    Counter::kDiffBytesCreated, Counter::kFullPageFetches,
-    Counter::kBarriers,
-};
-
 // The acceptance bar for the knob: detection is passive. Turning the detector
 // on may not change a computed value, a modeled microsecond, or any
 // pre-existing deterministic counter — and off means off: no detector object,
@@ -304,8 +287,7 @@ TEST(RaceDetect, OffAndOnAgreeExactlyAndOffMeansOff) {
 
   EXPECT_EQ(off.sums, traced.sums);
   EXPECT_DOUBLE_EQ(off.makespan_us, traced.makespan_us);
-  for (const Counter c : kDeterministicCounters)
-    EXPECT_EQ(off.stats[c], traced.stats[c]) << "counter " << counter_name(c);
+  test::expect_deterministic_counters_eq(off.stats, traced.stats);
   EXPECT_EQ(off.stats[Counter::kRaceChecks], 0u);
   EXPECT_EQ(off.stats[Counter::kRacesDetected], 0u);
   EXPECT_EQ(traced.stats[Counter::kRacesDetected], 0u); // round-robin is clean
@@ -454,8 +436,6 @@ TEST(RaceDetect, MpiVersionsIgnoreRaceKnob) {
 // ------------------------------------------------------- the knob ----------
 
 TEST(RaceEnv, ParsesOffPageWord) {
-  ScopedEnvClear env;
-  EXPECT_FALSE(race::Options::from_env().enabled()); // unset -> off
   const auto parsed = [](const char* v) {
     const auto o = race::Options::parse(v);
     return o.has_value() ? std::optional<race::Mode>(o->mode) : std::nullopt;
@@ -465,19 +445,6 @@ TEST(RaceEnv, ParsesOffPageWord) {
   EXPECT_EQ(parsed("word"), race::Mode::kWord);
   EXPECT_EQ(parsed("bogus"), std::nullopt);
   EXPECT_EQ(parsed(""), std::nullopt);
-
-  ::setenv("OMSP_RACE", "word", 1);
-  EXPECT_EQ(race::Options::from_env().mode, race::Mode::kWord);
-  ::unsetenv("OMSP_RACE");
-}
-
-// Malformed specs are a hard error, same convention as OMSP_COLL: die loudly
-// instead of silently measuring the wrong configuration.
-TEST(RaceEnvDeathTest, MalformedSpecDiesLoudly) {
-  ScopedEnvClear env;
-  ::setenv("OMSP_RACE", "pages", 1);
-  EXPECT_DEATH((void)race::Options::from_env(), "malformed OMSP_RACE spec");
-  ::unsetenv("OMSP_RACE");
 }
 
 } // namespace

@@ -7,10 +7,10 @@
 // (and their paired trace events) record that the fast path ran.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <vector>
 
 #include "../common/env_guard.hpp"
+#include "../common/workloads.hpp"
 #include "net/transport.hpp"
 #include "tmk/system.hpp"
 #include "trace/sinks.hpp"
@@ -18,24 +18,15 @@
 namespace omsp::tmk {
 namespace {
 
+using test::expect_deterministic_counters_eq;
+using test::latency_model;
 using test::ScopedEnvClear;
-
-// Flat latency with service occupancy and no host-CPU folding: makespans are
-// purely modeled protocol time, so exact-equality assertions are
-// reproducible (sp2_default's cpu_scale would fold measured host time — the
-// very thing this PR changes — into the virtual clock).
-sim::CostModel latency_model() {
-  auto m = sim::CostModel::zero();
-  m.net_latency_us = 100.0;
-  m.handler_service_us = 10.0;
-  return m;
-}
 
 // Strictly phased round-robin: exactly ONE rank is active per phase; it
 // rewrites its own page, then reads the previous active rank's page while
 // the other ranks head for the barrier. The structural counters (messages,
 // faults, twins, diffs) are a deterministic function of the protocol; see
-// kDeterministicCounters below for what run-to-run still varies and why.
+// test::kDeterministicCounters for what run-to-run still varies and why.
 struct RunResult {
   std::vector<long> sums;
   StatsSnapshot stats;
@@ -72,30 +63,11 @@ RunResult run_round_robin(const Config& base) {
   return res;
 }
 
-// Counters that are a deterministic function of the workload. As the
-// overlap suite documents, the piggyback-dependent quantities (byte totals,
-// intervals, write notices) vary run-to-run even on the seed transport with
-// the feature OFF — a service-time twin flush mints an interval carrying the
-// creator's instantaneous vector time, which races with concurrent merges.
-// Off-vs-on equality of those is asserted suite-wide instead: the full
-// pre-existing suite (every exact-value and trace-audit test) runs under
-// OMSP_ZEROCOPY=on in CI and must pass unmodified. Here we demand equality
-// of everything the workload itself holds fixed, plus values and makespan.
-constexpr Counter kDeterministicCounters[] = {
-    Counter::kMsgsSent,         Counter::kMsgsOffNode,
-    Counter::kPageFaults,       Counter::kReadFaults,
-    Counter::kWriteFaults,      Counter::kTwins,
-    Counter::kDiffsCreated,     Counter::kDiffsApplied,
-    Counter::kDiffBytesCreated, Counter::kFullPageFetches,
-    Counter::kBarriers,         Counter::kPrefetchBatches,
-    Counter::kPrefetchPagesFetched, Counter::kPrefetchHits,
-};
-
-void expect_deterministic_counters_eq(const StatsSnapshot& a,
-                                      const StatsSnapshot& b) {
-  for (const Counter c : kDeterministicCounters)
-    EXPECT_EQ(a[c], b[c]) << "counter " << counter_name(c);
-}
+// Off-vs-on equality of the counters a phased run does NOT hold fixed is
+// asserted suite-wide instead: the full pre-existing suite (every exact-value
+// and trace-audit test) runs under OMSP_ZEROCOPY=on in CI and must pass
+// unmodified. Here we demand equality of everything the workload itself holds
+// fixed (test::expect_deterministic_counters_eq), plus values and makespan.
 
 struct ZeroCopyParam {
   Mode mode;
@@ -236,29 +208,6 @@ TEST(ZeroCopy, TraceReconstructsZeroCopyCounters) {
   for (std::size_t c = 0; c < static_cast<std::size_t>(Counter::kCount); ++c)
     EXPECT_EQ(rebuilt.v[c], live.v[c])
         << "counter " << counter_name(static_cast<Counter>(c));
-}
-
-// ------------------------------------------------------ knob parsing -------
-
-TEST(ZeroCopyEnv, ParsesOffOnAndThreshold) {
-  ScopedEnvClear env;
-  const auto with = [](const char* v) {
-    ::setenv("OMSP_ZEROCOPY", v, 1);
-    const auto o = net::ZeroCopyOptions::from_env();
-    ::unsetenv("OMSP_ZEROCOPY");
-    return o;
-  };
-  ::unsetenv("OMSP_ZEROCOPY");
-  EXPECT_FALSE(net::ZeroCopyOptions::from_env().enabled);
-  EXPECT_FALSE(with("off").enabled);
-  EXPECT_FALSE(with("0").enabled);
-  EXPECT_TRUE(with("on").enabled);
-  EXPECT_EQ(with("on").threshold_bytes, 0u);
-  EXPECT_TRUE(with("1").enabled);
-  const auto t = with("16384");
-  EXPECT_TRUE(t.enabled);
-  EXPECT_EQ(t.threshold_bytes, 16384u);
-  EXPECT_FALSE(with("garbage").enabled); // unparseable -> stays off
 }
 
 // ---------------------------------------------------------- pools ----------

@@ -6,9 +6,11 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "apps/sor.hpp"
 #include "tmk/system.hpp"
 #include "trace/sinks.hpp"
 #include "trace/tracer.hpp"
@@ -319,6 +321,50 @@ TEST(TraceIntegration, FinishWritesSelfContainedBinaryFile) {
   for (std::size_t c = 0; c < static_cast<std::size_t>(Counter::kCount); ++c)
     EXPECT_EQ(rebuilt.v[c], tf.stats.v[c])
         << "counter " << counter_name(static_cast<Counter>(c));
+}
+
+// `omsp-trace pages --page`: in a recorded SOR run each page's history holds
+// only its own events in time order, all pages' histories add up to the run's
+// page-keyed counters exactly, and the busiest (boundary) page shows the full
+// multiple-writer cycle.
+TEST(PageTimeline, SorHistoriesMatchCounters) {
+  const std::string path =
+      "/tmp/omsp_page_timeline_" + std::to_string(::getpid()) + ".trace";
+  tmk::Config cfg;
+  cfg.topology = sim::Topology(2, 2);
+  cfg.mode = tmk::Mode::kProcess;
+  cfg.trace.enabled = true;
+  cfg.trace.binary_path = path;
+  apps::sor::run_omp({128, 64, 4, 1.0}, cfg);
+  const TraceFile tf = read_binary(path);
+  std::remove(path.c_str());
+
+  // Every page id is some event's arg0; other ids get empty histories.
+  std::set<std::uint64_t> ids;
+  for (const Event& e : tf.events) ids.insert(e.arg0);
+  StatsSnapshot sum, busiest;
+  for (const std::uint64_t p : ids) {
+    const std::vector<Event> t = page_timeline(tf.events, p);
+    for (std::size_t i = 0; i < t.size(); ++i) {
+      EXPECT_EQ(t[i].arg0, p);
+      EXPECT_LE(t[i == 0 ? 0 : i - 1].ts_us, t[i].ts_us);
+    }
+    const StatsSnapshot page = reconstruct_counters(t);
+    sum += page;
+    if (page[Counter::kPageFaults] > busiest[Counter::kPageFaults])
+      busiest = page;
+  }
+  for (const Counter c :
+       {Counter::kPageFaults, Counter::kReadFaults, Counter::kWriteFaults,
+        Counter::kMprotect, Counter::kTwins, Counter::kDiffsCreated,
+        Counter::kDiffBytesCreated, Counter::kDiffsApplied,
+        Counter::kPageInvalidations, Counter::kFullPageFetches,
+        Counter::kPrefetchHits})
+    EXPECT_EQ(sum[c], tf.stats[c]) << counter_name(c);
+  for (const Counter c : {Counter::kWriteFaults, Counter::kTwins,
+                          Counter::kDiffsCreated, Counter::kDiffsApplied,
+                          Counter::kPageInvalidations})
+    EXPECT_GT(busiest[c], 0u) << counter_name(c);
 }
 
 TEST(TraceIntegration, DisabledTracingInstallsNothing) {
