@@ -88,7 +88,7 @@ inline apps::barnes::Params barnes_params() {
 // (scripts/bench_smoke.sh merges them into BENCH_pr3.json).
 struct BenchArgs {
   bool smoke = false;
-  std::string json_path;
+  std::string json_out;
   // speedup_curve only: `--scale` switches to the beyond-the-SP2 machine
   // sweep; `--seed <n>` (nonzero) runs its MPI curves over seeded lossy
   // links. Other benches accept and ignore both.
@@ -106,7 +106,7 @@ inline BenchArgs parse_bench_args(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
       a.seed = std::strtoull(argv[++i], nullptr, 10);
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      a.json_path = argv[++i];
+      a.json_out = argv[++i];
     } else {
       std::fprintf(stderr,
                    "usage: %s [--smoke] [--scale] [--seed <n>] "

@@ -52,12 +52,12 @@ int main(int argc, char** argv) {
     apps_obj.add(app.name, row.str());
   }
   print_rule(86);
-  if (!args.json_path.empty()) {
+  if (!args.json_out.empty()) {
     JsonObject root;
     root.add_string("bench", "fig1_speedup");
     root.add("smoke", args.smoke);
     root.add("apps", apps_obj.str());
-    write_json_file(args.json_path, root.str());
+    write_json_file(args.json_out, root.str());
   }
   std::printf("thr/MPI: OpenMP/thread speedup as %% of MPI's (paper: "
               "70-93%%).\n");

@@ -313,7 +313,7 @@ int run_scale(const BenchArgs& args) {
               "~5x over the\npermutation's) — incast adds an edge-tier "
               "bottleneck below the spine\noversubscription.\n");
 
-  if (!args.json_path.empty()) {
+  if (!args.json_out.empty()) {
     JsonObject top;
     top.add_string("bench", "speedup_curve_scale");
     top.add("smoke", args.smoke);
@@ -321,7 +321,7 @@ int run_scale(const BenchArgs& args) {
     top.add("curves", "{\"mpi\": {" + mpi_json + "}, \"sdsm_thread\": {" +
                           dsm_json + "}, \"collectives\": {" + coll_json +
                           "}, \"incast\": {" + incast_json + "}}");
-    write_json_file(args.json_path, top.str());
+    write_json_file(args.json_out, top.str());
   }
   return 0;
 }

@@ -79,7 +79,7 @@ int main(int argc, char** argv) {
   }
   print_rule(92);
 
-  if (!args.json_path.empty()) {
+  if (!args.json_out.empty()) {
     JsonObject apps_obj;
     for (const auto& r : rows) {
       JsonObject versions;
@@ -96,7 +96,7 @@ int main(int argc, char** argv) {
     // baseline survives sweeps over larger machines.
     root.add_string("topology", paper_topology().spec());
     root.add("apps", apps_obj.str());
-    write_json_file(args.json_path, root.str());
+    write_json_file(args.json_out, root.str());
   }
   return 0;
 }

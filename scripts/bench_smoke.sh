@@ -5,10 +5,9 @@
 # transport. Each bench row also records its host WALL-CLOCK seconds
 # ("wall_clock_s") — modeled results answer "is the simulation right",
 # the wall-clock column answers "how long does the simulator itself take",
-# which is what the SIMD/pooling/zero-copy work (ISSUE 8) optimizes. The
-# diff-kernel microbenchmarks (scalar vs SIMD create, apply, twin
-# provisioning, intra-node zero-copy fetch) are folded in under
-# "micro_diff_kernels" when bench/micro_dsm is built.
+# which is what the SIMD and pooling work optimizes. The diff-kernel
+# microbenchmarks (scalar vs SIMD create, apply, twin provisioning) are
+# folded in under "micro_diff_kernels" when bench/micro_dsm is built.
 #
 #   scripts/bench_smoke.sh [--build-dir <dir>] [--out <file>] [--update-baseline]
 #
@@ -131,13 +130,13 @@ done
     --json "$TMP/scale_seed1_rerun.json" >/dev/null
 
 # Diff-kernel microbenches (host nanoseconds): scalar vs SIMD create, the
-# checked apply vs the pre-PR loop, pooled twin provisioning, zero-copy vs
-# copy-in intra-node fetch. Medians over 5 repetitions with random
-# interleaving so the scalar/SIMD ratio is robust to frequency drift.
+# checked apply vs the pre-PR loop, pooled twin provisioning. Medians over 5
+# repetitions with random interleaving so the scalar/SIMD ratio is robust to
+# frequency drift.
 if [ -x "$BUILD_DIR/bench/micro_dsm" ]; then
   echo "== micro_dsm diff kernels =="
   "$BUILD_DIR/bench/micro_dsm" \
-      --benchmark_filter='BM_Diff|BM_Twin|BM_IntraNode' \
+      --benchmark_filter='BM_Diff|BM_Twin' \
       --benchmark_repetitions=5 --benchmark_enable_random_interleaving=true \
       --benchmark_report_aggregates_only=true \
       --benchmark_format=json > "$TMP/micro.json"
@@ -256,9 +255,6 @@ if os.path.exists(f"{tmp}/micro.json"):
             for p in (5, 25, 100)},
         "twin_unpooled_over_pooled":
             ratio("BM_TwinProvision/pooled:0", "BM_TwinProvision/pooled:1"),
-        "fetch_copy_over_zerocopy":
-            ratio("BM_IntraNodeFetchZeroCopy/zerocopy:0",
-                  "BM_IntraNodeFetchZeroCopy/zerocopy:1"),
     }
     c5 = micro["create_scalar_over_simd"]["5pct"]
     c25 = micro["create_scalar_over_simd"]["25pct"]

@@ -42,22 +42,6 @@ bool parse_overlap(std::string_view v, Values& out) {
   return on.has_value();
 }
 
-// A byte count switches on and sets the switchover threshold: payloads below
-// it keep the copy path (small messages gain nothing from holding the backing
-// buffer alive). "on" views every eligible same-node payload.
-bool parse_zerocopy(std::string_view v, Values& out) {
-  if (const auto on = parse_switch(v)) {
-    out.zerocopy.enabled = *on;
-    return true;
-  }
-  const auto bytes = parse_number<std::size_t>(v);
-  if (bytes) {
-    out.zerocopy.enabled = true;
-    out.zerocopy.threshold_bytes = *bytes;
-  }
-  return bytes.has_value();
-}
-
 bool parse_perturb_seed(std::string_view v, Values& out) {
   const auto seed = parse_number<std::uint64_t>(v);
   if (seed && *seed != 0) {
@@ -91,9 +75,8 @@ bool parse_loss_prob(std::string_view v, Values& out) {
   return true;
 }
 
-template <std::string trace::Options::*Path>
-bool parse_trace_path(std::string_view v, Values& out) {
-  out.trace.*Path = v;
+bool parse_trace_bin(std::string_view v, Values& out) {
+  out.trace.binary_path = v;
   out.trace.enabled = true;
   return true;
 }
@@ -116,8 +99,6 @@ constexpr Knob kTable[] = {
      parse_spec<&coll::Options::parse, &Values::coll>},
     {"OMSP_OVERLAP", "0|1|off|on", "off",
      "overlapped diff fetch and barrier-time prefetch", parse_overlap},
-    {"OMSP_ZEROCOPY", "off|on|<bytes>", "off",
-     "zero-copy intra-node delivery (0/1 alias off/on)", parse_zerocopy},
     {"OMSP_PERTURB_SEED", "<seed>", "0 (off)",
      "seeded jitter, duplication and reordering", parse_perturb_seed},
     {"OMSP_LOSS_PROB", "<p in [0,1]>", "0 (off)",
@@ -125,9 +106,7 @@ constexpr Knob kTable[] = {
     {"OMSP_RACE", "off|page|word", "off", "vector-clock race detection",
      parse_spec<&race::Options::parse, &Values::race>},
     {"OMSP_TRACE_BIN", "<file>", "none", "binary protocol trace sink",
-     parse_trace_path<&trace::Options::binary_path>},
-    {"OMSP_TRACE_JSON", "<file>", "none", "Chrome trace_event JSON sink",
-     parse_trace_path<&trace::Options::json_path>},
+     parse_trace_bin},
     {"OMSP_CHAOS", "<permille 0-1000>", "0 (off)",
      "random 1-21 us sleeps at protocol decision points", parse_chaos},
 };

@@ -32,7 +32,6 @@ struct Values {
   sim::Topology topology = sim::Topology::sp2();
   coll::Options coll;
   net::OverlapOptions overlap;
-  net::ZeroCopyOptions zerocopy;
   net::PerturbOptions perturb;
   race::Options race;
   trace::Options trace;

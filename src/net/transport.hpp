@@ -51,6 +51,10 @@
 // re-delivery of the same request — state convergent (second apply is a
 // byte-level no-op), reply equivalent — because a lossy transport
 // retransmits and duplicates.
+//
+// Buffer lifetime (docs/PROTOCOL.md "Receive path"): a handler's request
+// buffer outlives handle(), and a reply is handed to the caller as its own
+// vector, so receivers parse payloads as views into the delivered bytes.
 #pragma once
 
 #include <atomic>
@@ -297,23 +301,6 @@ struct OverlapOptions {
   bool prefetch = true;
 
   bool operator==(const OverlapOptions&) const = default;
-};
-
-// Zero-copy intra-node delivery (docs/PROTOCOL.md "Zero-copy intra-node
-// delivery"): when a request/reply's src and dst contexts share a physical
-// node and the serialized payload is at least threshold_bytes, the receiver
-// keeps the delivered buffer alive and parses diff payloads as views into it
-// instead of deserializing copies — the XHC-style zero-copy vs copy-in/
-// copy-out switch. A pure wall-clock optimization: modeled costs, message
-// accounting and every pre-existing counter are bit-for-bit identical to the
-// copy path (asserted by tests); only the zerocopy_* counters and the
-// kZeroCopyDeliver trace event are new, and they fire only when enabled.
-// OMSP_ZEROCOPY=off|on|<bytes> is the code-free enable ("on" = threshold 0).
-struct ZeroCopyOptions {
-  bool enabled = false;
-  std::size_t threshold_bytes = 0;
-
-  bool operator==(const ZeroCopyOptions&) const = default;
 };
 
 // Asynchronous delivery: one worker thread per destination context services

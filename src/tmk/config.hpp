@@ -63,8 +63,7 @@ struct Config {
   // Optional features, all off by default. An OMSP_* environment variable
   // can switch on each one the Config leaves off (net/knobs.hpp).
 
-  // Structured protocol tracing (docs/OBSERVABILITY.md; OMSP_TRACE_BIN,
-  // OMSP_TRACE_JSON).
+  // Structured protocol tracing (docs/OBSERVABILITY.md; OMSP_TRACE_BIN).
   trace::Options trace;
 
   // Seeded transport fault injection (net::PerturbingTransport): latency
@@ -77,12 +76,6 @@ struct Config {
   // the InlineTransport seed semantics bit-for-bit. Only the lazy-RC
   // protocol has overlapped paths; home-based fetches stay synchronous.
   net::OverlapOptions overlap;
-
-  // Zero-copy intra-node delivery (net::ZeroCopyOptions; OMSP_ZEROCOPY):
-  // same-node diff and page payloads are parsed as views into the delivered
-  // buffer instead of deserialized copies. Wall-clock only — modeled times
-  // and all pre-existing counters are bit-for-bit identical either way.
-  net::ZeroCopyOptions zerocopy;
 
   // Collective engine (coll::Schedule; OMSP_COLL): central keeps the seed's
   // manager-based barrier bit-for-bit; tree reduces arrivals up the

@@ -180,14 +180,12 @@ void DsmContext::fetch_and_apply(PageId p, std::unique_lock<std::mutex>& lock) {
     IntervalSeq want;
   };
   // One fetched diff awaiting the final vt-sorted apply. `view` points at
-  // the diff payload: into `owned` on the copy path (vector moves preserve
-  // the heap pointer, so the span survives got.push_back), or into the
-  // shared reply buffer kept alive by `backing` on the zero-copy path.
+  // the diff payload inside the shared reply buffer that `backing` keeps
+  // alive.
   struct Got {
     std::uint64_t vtsum;
     IntervalSeq seq;
     ContextId creator;
-    DiffBytes owned;
     std::shared_ptr<std::vector<std::uint8_t>> backing;
     std::span<const std::uint8_t> view;
   };
@@ -201,46 +199,29 @@ void DsmContext::fetch_and_apply(PageId p, std::unique_lock<std::mutex>& lock) {
 
   // Parse one kDiffRequest reply (shared by the sync and async rounds):
   // apply the piggybacked records, park the diffs in `got`, return the
-  // highest interval tag now in hand. When the reply is zero-copy eligible
-  // the vector moves into a shared backing and every diff payload is a view
-  // into it — the serialize/deserialize round-trip's receive copy is
-  // skipped; otherwise each diff is copied out exactly as before. Called
-  // with no page lock held (apply_records takes page locks).
+  // highest interval tag now in hand. The reply moves into a shared backing
+  // and every diff payload is a view into it. Called with no page lock held
+  // (apply_records takes page locks).
   auto parse_reply = [&](std::vector<std::uint8_t>&& reply, ContextId creator,
                          IntervalSeq have) -> IntervalSeq {
-    std::shared_ptr<std::vector<std::uint8_t>> backing;
-    const bool zc = zerocopy_eligible(creator, reply.size());
-    if (zc)
-      backing = std::make_shared<std::vector<std::uint8_t>>(std::move(reply));
-    ByteReader r(zc ? *backing : reply);
+    auto backing =
+        std::make_shared<std::vector<std::uint8_t>>(std::move(reply));
+    ByteReader r(*backing);
     auto recs = deserialize_records(r);
     if (!recs.empty())
       apply_records(recs, /*sync=*/false); // data piggyback, no page lock
     const auto floor = r.get<IntervalSeq>();
     const auto count = r.get<std::uint32_t>();
     IntervalSeq maxseq = std::max(have, floor);
-    std::uint64_t viewed = 0;
     for (std::uint32_t j = 0; j < count; ++j) {
       Got g;
       g.seq = r.get<IntervalSeq>();
       g.vtsum = r.get<std::uint64_t>();
       g.creator = creator;
-      if (zc) {
-        const auto n = r.get<std::uint32_t>();
-        g.view = r.view_bytes(n);
-        g.backing = backing;
-        viewed += n;
-      } else {
-        g.owned = r.get_span<std::uint8_t>();
-        g.view = g.owned;
-      }
+      g.view = r.view_bytes(r.get<std::uint32_t>());
+      g.backing = backing;
       maxseq = std::max(maxseq, g.seq);
       got.push_back(std::move(g));
-    }
-    if (zc) {
-      stats_->add(Counter::kZeroCopyDeliveries);
-      stats_->add(Counter::kZeroCopyBytes, viewed);
-      OMSP_TRACE_EVENT(kZeroCopyDeliver, id_, creator, viewed);
     }
     return maxseq;
   };
@@ -296,8 +277,7 @@ void DsmContext::fetch_and_apply(PageId p, std::unique_lock<std::mutex>& lock) {
               used_bytes += d.view.size();
               maxseq = std::max(maxseq, d.seq);
               got.push_back(Got{d.vt_sum, d.seq, nd.creator,
-                                std::move(d.owned), std::move(d.backing),
-                                d.view});
+                                std::move(d.backing), d.view});
             }
           }
           if (!matched) {
@@ -452,20 +432,9 @@ void DsmContext::handle(ContextId src, net::MsgType type, ByteReader& request,
     const auto p = request.get<PageId>();
     OMSP_CHECK(home_of(p) == id_);
     // The request buffer outlives this handler (both transports keep it
-    // alive across handle()), so an eligible same-node diff is applied
-    // straight out of the sender's serialized bytes.
-    std::span<const std::uint8_t> bytes;
-    DiffBytes copied;
-    if (zerocopy_eligible(src, request.remaining())) {
-      const auto n = request.get<std::uint32_t>();
-      bytes = request.view_bytes(n);
-      stats_->add(Counter::kZeroCopyDeliveries);
-      stats_->add(Counter::kZeroCopyBytes, bytes.size());
-      OMSP_TRACE_EVENT(kZeroCopyDeliver, id_, src, bytes.size());
-    } else {
-      copied = request.get_span<std::uint8_t>();
-      bytes = copied;
-    }
+    // alive across handle()), so the diff is applied straight out of the
+    // sender's serialized bytes.
+    const auto bytes = request.view_bytes(request.get<std::uint32_t>());
     std::lock_guard<std::mutex> pl(page_lock(p));
     apply_bytes_at_home(p, bytes.data(), bytes.size(), /*full_page=*/false);
     stats_->add(Counter::kDiffsApplied);
@@ -682,20 +651,9 @@ void DsmContext::fetch_from_home(PageId p,
         id_, home_of(p), net::MsgType::kPageRequest, req));
     lock.lock();
 
+    // The view aliases `reply`, which outlives every use below.
     ByteReader r(reply);
-    std::span<const std::uint8_t> page_bytes;
-    std::vector<std::uint8_t> page_copy; // keeps the copy-path bytes alive
-    if (zerocopy_eligible(home_of(p), reply.size())) {
-      // The view aliases `reply`, which outlives every use below.
-      const auto n = r.get<std::uint32_t>();
-      page_bytes = r.view_bytes(n);
-      stats_->add(Counter::kZeroCopyDeliveries);
-      stats_->add(Counter::kZeroCopyBytes, page_bytes.size());
-      OMSP_TRACE_EVENT(kZeroCopyDeliver, id_, home_of(p), page_bytes.size());
-    } else {
-      page_copy = r.get_span<std::uint8_t>();
-      page_bytes = page_copy;
-    }
+    const auto page_bytes = r.view_bytes(r.get<std::uint32_t>());
     OMSP_CHECK(page_bytes.size() == kPageSize);
     // As in fetch_and_apply: the write-enable is this application thread's
     // own modeled mprotect; the installation writes go through the runtime
@@ -1265,11 +1223,8 @@ void DsmContext::absorb_batch_reply(PrefetchBatch& batch) {
   double complete = 0;
   auto reply = batch.reply.wait_at(&complete); // no clock advance: the wait
   // is charged when (if) a fetch session drains the entry, via ready_us.
-  std::shared_ptr<std::vector<std::uint8_t>> backing;
-  const bool zc = zerocopy_eligible(batch.creator, reply.size());
-  if (zc)
-    backing = std::make_shared<std::vector<std::uint8_t>>(std::move(reply));
-  ByteReader r(zc ? *backing : reply);
+  auto backing = std::make_shared<std::vector<std::uint8_t>>(std::move(reply));
+  ByteReader r(*backing);
   auto recs = deserialize_records(r);
   if (!recs.empty())
     apply_records(recs, /*sync=*/false); // data piggyback; takes page locks
@@ -1278,7 +1233,6 @@ void DsmContext::absorb_batch_reply(PrefetchBatch& batch) {
                  "batch reply page count mismatch");
   std::vector<std::pair<PageId, PrefetchEntry>> parsed;
   parsed.reserve(npages);
-  std::uint64_t viewed = 0;
   for (std::uint32_t i = 0; i < npages; ++i) {
     const auto p = r.get<PageId>();
     OMSP_CHECK_MSG(p == batch.pages[i].first,
@@ -1295,23 +1249,11 @@ void DsmContext::absorb_batch_reply(PrefetchBatch& batch) {
     for (auto& d : e.diffs) {
       d.seq = r.get<IntervalSeq>();
       d.vt_sum = r.get<std::uint64_t>();
-      if (zc) {
-        const auto n = r.get<std::uint32_t>();
-        d.view = r.view_bytes(n);
-        d.backing = backing;
-        viewed += n;
-      } else {
-        d.owned = r.get_span<std::uint8_t>();
-        d.view = d.owned;
-      }
+      d.view = r.view_bytes(r.get<std::uint32_t>());
+      d.backing = backing;
       e.covers = std::max(e.covers, d.seq);
     }
     parsed.emplace_back(p, std::move(e));
-  }
-  if (zc) {
-    stats_->add(Counter::kZeroCopyDeliveries);
-    stats_->add(Counter::kZeroCopyBytes, viewed);
-    OMSP_TRACE_EVENT(kZeroCopyDeliver, id_, batch.creator, viewed);
   }
   std::lock_guard<std::mutex> pm(prefetch_mutex_);
   for (auto& [p, e] : parsed) prefetch_buffer_[p].push_back(std::move(e));

@@ -270,26 +270,13 @@ private:
 
   std::uint64_t vt_sum_of_own(IntervalSeq seq);
 
-  // True when a payload of `payload_bytes` arriving from `peer` may be
-  // handed over as a view instead of a deserialized copy: zero-copy enabled,
-  // same physical node (stage-0 adjacency in sim::Topology), and at least
-  // the configured switchover threshold.
-  bool zerocopy_eligible(ContextId peer, std::size_t payload_bytes) const {
-    return config_.zerocopy.enabled &&
-           payload_bytes >= config_.zerocopy.threshold_bytes &&
-           router_.same_node(id_, peer);
-  }
-
   // --- overlapped-fetch internals -------------------------------------------
   // One diff as shipped on the wire, parked until a fetch session drains it.
-  // `view` always points at the diff payload; on the copy path it views
-  // `owned`, on the zero-copy path it views the shared reply buffer kept
-  // alive by `backing` (moving `owned` preserves its heap pointer, so views
-  // survive container moves either way).
+  // `view` points at the diff payload inside the shared reply buffer that
+  // `backing` keeps alive.
   struct BufferedDiff {
     IntervalSeq seq = 0;
     std::uint64_t vt_sum = 0;
-    DiffBytes owned;
     std::shared_ptr<std::vector<std::uint8_t>> backing;
     std::span<const std::uint8_t> view;
   };

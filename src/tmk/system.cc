@@ -37,7 +37,6 @@ DsmSystem::DsmSystem(Config config)
   if (!config_.perturb.enabled) config_.perturb = env.perturb;
   if (!config_.overlap.enabled) config_.overlap = env.overlap;
   if (!config_.coll.tree) config_.coll = env.coll;
-  if (!config_.zerocopy.enabled) config_.zerocopy = env.zerocopy;
   if (!config_.race.enabled()) config_.race = env.race;
   if (config_.chaos_permille == 0) config_.chaos_permille = env.chaos_permille;
 

@@ -291,10 +291,6 @@ StatsSnapshot reconstruct_counters(const std::vector<Event>& events) {
       s[Counter::kCollStages] += 1;
       s[Counter::kCollBytes] += e.arg0;
       break;
-    case EventKind::kZeroCopyDeliver:
-      s[Counter::kZeroCopyDeliveries] += 1;
-      s[Counter::kZeroCopyBytes] += e.arg1;
-      break;
     case EventKind::kRaceCheck:
       s[Counter::kRaceChecks] += e.arg0;
       break;
@@ -323,7 +319,6 @@ void Tracer::finish(const StatsSnapshot& stats) {
   drain_all();
   if (!opts_.binary_path.empty())
     write_binary(opts_.binary_path, collected_, dropped_total(), stats);
-  if (!opts_.json_path.empty()) write_chrome_json(opts_.json_path, collected_);
 }
 
 std::vector<Event> page_timeline(const std::vector<Event>& events,

@@ -34,9 +34,8 @@ inline constexpr char kTraceMagic[8] = {'O', 'M', 'S', 'P',
 // and the msgs_lost/retransmits/acks_sent counters (lossy transport).
 // Version 5: adds the hierarchical-collectives kind kCollStage (arg0 = wire
 // bytes, arg1 = (level<<32)|leader) and the coll_stages/coll_bytes counters.
-// Version 6: adds the zero-copy intra-node delivery kind kZeroCopyDeliver
-// (arg0 = peer ctx, arg1 = bytes viewed) and the zerocopy_deliveries/
-// zerocopy_bytes counters (OMSP_ZEROCOPY).
+// Version 6: adds a zero-copy intra-node delivery kind and its two counters
+// (removed again in version 9).
 // Version 7: adds the data-race detector kinds kRaceCheck (arg0 = pair
 // checks, arg1 = entries swept) and kRaceDetected (arg0 = (page<<32)|
 // (lo<<16)|hi, arg1 = packed writer ctxs + interval seqs) and the
@@ -44,7 +43,9 @@ inline constexpr char kTraceMagic[8] = {'O', 'M', 'S', 'P',
 // Version 8: adds the per-stage congestion kind kContentionWait (arg0 =
 // topology stage, arg1 = packed segment key, dur = modeled wait) and the
 // contention_stage_waits counter (stage-aware link busy windows).
-inline constexpr std::uint32_t kTraceVersion = 8;
+// Version 9: drops the zero-copy kind and its two counters (every receive
+// now parses payloads as views), renumbering the kinds after kCollStage.
+inline constexpr std::uint32_t kTraceVersion = 9;
 
 struct TraceFile {
   std::vector<Event> events;

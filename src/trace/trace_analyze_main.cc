@@ -357,7 +357,8 @@ bool audit(const TraceFile& tf, bool verbose) {
 
 // ---------------------------------------------------------------------------
 
-// Run one app with tracing enabled, writing base.trace (+ base.json).
+// Run one app with tracing enabled, writing base.trace (+ base.json, exported
+// from the recorded binary trace).
 bool record_run(const std::string& app, tmk::Mode mode,
                 const std::string& base, bool json) {
   tmk::Config cfg;
@@ -365,7 +366,6 @@ bool record_run(const std::string& app, tmk::Mode mode,
   cfg.mode = mode;
   cfg.trace.enabled = true;
   cfg.trace.binary_path = base + ".trace";
-  if (json) cfg.trace.json_path = base + ".json";
 
   apps::Result r;
   if (app == "sor") {
@@ -383,6 +383,8 @@ bool record_run(const std::string& app, tmk::Mode mode,
     std::fprintf(stderr, "unknown app '%s' (want sor|tsp)\n", app.c_str());
     return false;
   }
+  if (json)
+    write_chrome_json(base + ".json", read_binary(base + ".trace").events);
   std::printf("recorded %s (%s mode): checksum %.6g, %.0f us simulated -> "
               "%s.trace%s\n",
               app.c_str(), mode == tmk::Mode::kThread ? "thread" : "process",

@@ -45,9 +45,10 @@ struct Options {
   // Rings are drained at every barrier episode, so this bounds the events
   // emitted between two quiescent points, not per run.
   std::size_t ring_events = 1u << 16;
-  // Sink paths written at system shutdown; empty = skip that sink.
-  std::string binary_path; // raw events + embedded StatsSnapshot (omsp-trace)
-  std::string json_path;   // Chrome trace_event JSON (Perfetto/chrome://tracing)
+  // Binary trace written at system shutdown (raw events + embedded
+  // StatsSnapshot; `omsp-trace export` turns it into Chrome JSON). Empty =
+  // no file.
+  std::string binary_path;
 
   bool operator==(const Options&) const = default;
 };

@@ -86,5 +86,14 @@ TEST(SerializeDeath, UnderflowAborts) {
   EXPECT_DEATH((void)r.get<std::uint32_t>(), "underflow");
 }
 
+// Every receive parses payloads as views, so this bound check is what stands
+// between a short or corrupt message and a read past the delivered buffer.
+TEST(SerializeDeath, ViewPastEndAborts) {
+  ByteWriter w;
+  w.put<std::uint32_t>(7);
+  ByteReader r(w.bytes());
+  EXPECT_DEATH((void)r.view_bytes(5), "underflow");
+}
+
 } // namespace
 } // namespace omsp

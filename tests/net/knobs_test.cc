@@ -39,7 +39,6 @@ net::PerturbOptions loss_only(double p, std::uint32_t max_retries) {
 // Every row's examples; the set of names must equal the table's.
 const std::vector<Row>& rows() {
   const Edit overlap_on = [](Values& v) { v.overlap.enabled = true; };
-  const Edit zerocopy_on = [](Values& v) { v.zerocopy.enabled = true; };
   static const std::vector<Row> r = {
       {"OMSP_TOPOLOGY",
        {{"sp2", kDefault},
@@ -59,11 +58,6 @@ const std::vector<Row>& rows() {
        {{"1", overlap_on}, {"on", overlap_on}, {"0", kDefault},
         {"off", kDefault}},
        {"false", "true", "2"}},
-      {"OMSP_ZEROCOPY",
-       {{"off", kDefault}, {"0", kDefault}, {"on", zerocopy_on},
-        {"1", zerocopy_on},
-        {"16384", [](Values& v) { v.zerocopy = {true, 16384}; }}},
-       {"garbage", "-1", "16k"}},
       {"OMSP_PERTURB_SEED",
        {{"17", [](Values& v) { v.perturb.enabled = true;
                                v.perturb.seed = 17; }},
@@ -83,10 +77,6 @@ const std::vector<Row>& rows() {
       {"OMSP_TRACE_BIN",
        {{"run.trace", [](Values& v) { v.trace.enabled = true;
                                       v.trace.binary_path = "run.trace"; }}},
-       {}},
-      {"OMSP_TRACE_JSON",
-       {{"run.json", [](Values& v) { v.trace.enabled = true;
-                                     v.trace.json_path = "run.json"; }}},
        {}},
       {"OMSP_CHAOS",
        {{"200", [](Values& v) { v.chaos_permille = 200; }},
@@ -178,13 +168,6 @@ TEST(OverlapOptions, FromEnvParsesMasks) {
   ::unsetenv("OMSP_OVERLAP_PREFETCH");
   EXPECT_TRUE(o.enabled);
   EXPECT_TRUE(o.prefetch);
-}
-
-// "garbage" once silently left zero-copy off; now it dies.
-TEST(ZeroCopyEnv, ParsesOffOnAndThreshold) {
-  const test::ScopedEnvClear env_guard;
-  expect_parses(row("OMSP_ZEROCOPY"));
-  expect_rejects(row("OMSP_ZEROCOPY"));
 }
 
 TEST(PerturbOptions, FromEnvParsesSeed) {

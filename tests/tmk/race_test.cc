@@ -3,7 +3,7 @@
 // page, same byte ranges, same interval pair on every run, both protocols,
 // both execution modes — and (b) stay silent on the six properly synchronized
 // benchmark applications even with every protocol stressor stacked on
-// (tree collectives, zero-copy delivery, lossy links, perturbed seeds).
+// (tree collectives, lossy links, perturbed seeds).
 // With OMSP_RACE=off (the default) the detector must not exist at all:
 // values, modeled time and every counter identical to the seed.
 #include <gtest/gtest.h>
@@ -345,9 +345,8 @@ net::PerturbOptions loss_with(std::uint64_t seed, double prob) {
   return o;
 }
 
-// Every stressor from the CI matrix stacked at once: tree collectives,
-// zero-copy delivery, 5% message loss, seeds 1..3 — and the detector at page
-// granularity on top. All six applications must compute the reference
+// Every stressor from the CI matrix stacked at once: tree collectives, 5%
+// message loss, seeds 1..3 — and the detector at page granularity on top. All six applications must compute the reference
 // checksum with ZERO race reports: no false positives from retransmitted
 // diffs, piggybacked intervals, segmented broadcasts or view-parsed replies.
 class AppsRaceClean : public ::testing::TestWithParam<std::uint64_t> {
@@ -359,7 +358,6 @@ protected:
     cfg.cost = sim::CostModel::zero();
     cfg.race.mode = race::Mode::kPage;
     cfg.coll.tree = true;
-    cfg.zerocopy.enabled = true;
     cfg.perturb = loss_with(GetParam(), 0.05);
     return cfg;
   }

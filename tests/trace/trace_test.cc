@@ -118,6 +118,19 @@ TEST(ChromeJson, EmitsSlicesInstantsAndTrackMetadata) {
   EXPECT_NE(json.find("\"name\":\"rank3\""), std::string::npos);
 }
 
+// `omsp-trace export` is the only JSON writer: a binary round trip must not
+// change a byte of the export.
+TEST(ChromeJson, ExportOfDecodedTraceMatchesLiveEvents) {
+  std::vector<Event> events = {make_event(EventKind::kPageFault, 9),
+                               make_event(EventKind::kMessage, 100, 2,
+                                          kFlagOffNode),
+                               make_event(EventKind::kBarrierArrive, 0)};
+  events[2].dur_us = 0;
+  const auto bytes = encode_trace(events, /*dropped=*/0, StatsSnapshot{});
+  EXPECT_EQ(chrome_trace_json(decode_trace(bytes.data(), bytes.size()).events),
+            chrome_trace_json(events));
+}
+
 // ---------------------------------------------------------- reconstruction --
 
 TEST(Reconstruct, MapsEveryCounterBearingKind) {
