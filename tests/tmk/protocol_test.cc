@@ -3,8 +3,12 @@
 // barrier semantics — the mechanisms behind Table 3's counters.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
 #include <thread>
 
+#include "../common/env_guard.hpp"
+#include "../common/workloads.hpp"
 #include "tmk/system.hpp"
 
 namespace omsp::tmk {
@@ -240,6 +244,136 @@ TEST(Barrier, DepartureTimeDominatesArrivals) {
   });
   EXPECT_GE(after[0], 5000.0); // the fast thread waited for the straggler
   EXPECT_GE(after[1], after[0] - 1000.0);
+}
+
+
+// ------------------------------------------------------ sync-edge pinning ----
+
+// A strictly turn-taking program: one active rank between any two barriers.
+// Rank t (t >= 1) reads the page rank t-1 wrote, takes the lock from rank
+// t-1's context, bumps a lock-protected counter and writes its own page; the
+// master reads both pages after each join. Every twin is therefore flushed
+// by a master fetch in a sequential section, never by a fetch racing a
+// passive context's barrier close — so intervals, write notices and bytes,
+// which kDeterministicCounters must leave out for concurrent programs, are
+// exact here. Context 0 never writes a page another context reads, for the
+// same reason: no sequential fetch could flush its twin. Returns the
+// master's modeled time.
+double run_turn_taking(DsmSystem& dsm) {
+  constexpr std::size_t kLongs = kPageSize / sizeof(long);
+  constexpr LockId kLock = 5;
+  const std::uint32_t n = dsm.nprocs();
+  auto data = dsm.alloc_page_aligned<long>(n * kLongs);
+  auto counter = dsm.alloc_page_aligned<long>(kLongs);
+  long want = 0;
+  for (Rank t = 1; t < n; ++t) {
+    dsm.parallel([&](Rank r) {
+      dsm.barrier();
+      if (r == t) {
+        if (t > 1) {
+          for (std::size_t i = 0; i < kLongs; i += 64)
+            EXPECT_EQ(data[(t - 1) * kLongs + i],
+                      static_cast<long>((t - 1) * 1000 + i));
+        }
+        // A plain read, then a plain write: a fused read-modify-write
+        // instruction would take one fault where a separate load and store
+        // take two, and the fault counts would follow the compiler.
+        const auto before = static_cast<long>(t * (t - 1) / 2);
+        dsm.lock_acquire(kLock);
+        EXPECT_EQ(counter[0], before);
+        counter[0] = before + t;
+        dsm.lock_release(kLock);
+        for (std::size_t i = 0; i < kLongs; i += 64)
+          data[t * kLongs + i] = static_cast<long>(t * 1000 + i);
+      }
+      dsm.barrier();
+    });
+    want += t;
+    EXPECT_EQ(data[t * kLongs], static_cast<long>(t * 1000));
+    EXPECT_EQ(counter[0], want);
+  }
+  return dsm.master_time_us();
+}
+
+struct PinnedRun {
+  bool tree;
+  Protocol protocol;
+  double master_us;
+  // Every counter the run leaves nonzero; all others must be zero.
+  std::map<std::string, std::uint64_t> counters;
+};
+
+TEST(Protocol, SyncEdgeAccountingIsPinned) {
+  const test::ScopedEnvClear env_guard; // the numbers are the seed config's
+  const PinnedRun runs[] = {
+      {false,
+       Protocol::kLazyRC,
+       34290.0,
+       {{"msgs_sent", 1690}, {"bytes_sent", 209704}, {"msgs_offnode", 1327},
+        {"bytes_offnode", 165926}, {"mprotect", 444}, {"page_faults", 88},
+        {"read_faults", 58}, {"write_faults", 30}, {"twins", 30},
+        {"diffs_created", 30}, {"diffs_applied", 149},
+        {"diff_bytes_created", 793}, {"intervals", 60},
+        {"write_notices_sent", 1264}, {"write_notices_recv", 1294},
+        {"page_invalidations", 268}, {"barriers", 480}, {"lock_acquires", 15},
+        {"lock_remote_acquires", 15}}},
+      {true,
+       Protocol::kLazyRC,
+       34290.0,
+       {{"msgs_sent", 1690}, {"bytes_sent", 209704}, {"msgs_offnode", 787},
+        {"bytes_offnode", 106526}, {"mprotect", 444}, {"page_faults", 88},
+        {"read_faults", 58}, {"write_faults", 30}, {"twins", 30},
+        {"diffs_created", 30}, {"diffs_applied", 149},
+        {"diff_bytes_created", 793}, {"intervals", 60},
+        {"write_notices_sent", 1264}, {"write_notices_recv", 1294},
+        {"page_invalidations", 268}, {"barriers", 480}, {"lock_acquires", 15},
+        {"lock_remote_acquires", 15}, {"coll_stages", 900},
+        {"coll_bytes", 99000}}},
+      {false,
+       Protocol::kHomeLRC,
+       18970.0,
+       {{"msgs_sent", 1508}, {"bytes_sent", 311363}, {"msgs_offnode", 1183},
+        {"bytes_offnode", 218136}, {"mprotect", 429}, {"page_faults", 73},
+        {"read_faults", 43}, {"write_faults", 30}, {"twins", 30},
+        {"diffs_created", 30}, {"diffs_applied", 15},
+        {"diff_bytes_created", 793}, {"intervals", 15},
+        {"write_notices_sent", 450}, {"write_notices_recv", 450},
+        {"page_invalidations", 253}, {"barriers", 480}, {"lock_acquires", 15},
+        {"lock_remote_acquires", 15}, {"full_page_fetches", 43}}},
+      {true,
+       Protocol::kHomeLRC,
+       18970.0,
+       {{"msgs_sent", 1508}, {"bytes_sent", 311363}, {"msgs_offnode", 643},
+        {"bytes_offnode", 158736}, {"mprotect", 429}, {"page_faults", 73},
+        {"read_faults", 43}, {"write_faults", 30}, {"twins", 30},
+        {"diffs_created", 30}, {"diffs_applied", 15},
+        {"diff_bytes_created", 793}, {"intervals", 15},
+        {"write_notices_sent", 450}, {"write_notices_recv", 450},
+        {"page_invalidations", 253}, {"barriers", 480}, {"lock_acquires", 15},
+        {"lock_remote_acquires", 15}, {"full_page_fetches", 43},
+        {"coll_stages", 900}, {"coll_bytes", 99000}}},
+  };
+  for (const PinnedRun& want : runs) {
+    Config cfg;
+    cfg.topology = sim::Topology::sp2();
+    cfg.mode = Mode::kProcess;
+    cfg.heap_bytes = 1u << 20;
+    cfg.cost = test::latency_model();
+    cfg.coll.tree = want.tree;
+    cfg.protocol = want.protocol;
+    DsmSystem dsm(cfg);
+    const double master_us = run_turn_taking(dsm);
+    const StatsSnapshot s = dsm.stats();
+    SCOPED_TRACE(std::string(want.tree ? "tree" : "central") +
+                 (want.protocol == Protocol::kHomeLRC ? "/home" : "/lazy"));
+    EXPECT_EQ(master_us, want.master_us);
+    for (std::size_t i = 0; i < s.v.size(); ++i) {
+      const char* name = counter_name(static_cast<Counter>(i));
+      const auto it = want.counters.find(name);
+      EXPECT_EQ(s.v[i], it == want.counters.end() ? 0 : it->second)
+          << "counter " << name;
+    }
+  }
 }
 
 } // namespace
