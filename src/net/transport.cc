@@ -159,10 +159,12 @@ std::vector<std::uint8_t> InlineTransport::call(const Envelope& env) {
   return reply.take();
 }
 
-double InlineTransport::notify(const Envelope& env) {
-  return router_.account(env) + contention_us(env,
-                                              env.payload_size() + kHeaderBytes,
-                                              /*reserve=*/false);
+Delivery InlineTransport::notify_ex(const Envelope& env) {
+  Delivery d;
+  d.cost_us = router_.account(env) +
+              contention_us(env, env.payload_size() + kHeaderBytes,
+                            /*reserve=*/false);
+  return d;
 }
 
 // ---------------------------------------------------------------------------
@@ -411,6 +413,28 @@ PerturbingTransport::draw_roundtrip(ContextId src, ContextId dst,
   return s;
 }
 
+double PerturbingTransport::drop_copies(const Envelope& e, std::uint32_t count,
+                                        std::uint32_t* attempt,
+                                        sim::VirtualClock* clock) {
+  const auto& model = router_.model();
+  double rto_sum = 0;
+  for (std::uint32_t i = 0; i < count; ++i, ++*attempt) {
+    Envelope lost = e;
+    if (*attempt > 0)
+      lost.trace_flags = static_cast<std::uint16_t>(lost.trace_flags |
+                                                    trace::kFlagPerturbed);
+    (void)inner_->notify(lost);
+    router_.account_loss(lost);
+    const double rto = model.retransmit_timeout_us(*attempt);
+    router_.account_retransmit(lost, *attempt + 1, rto);
+    if (clock != nullptr) clock->charge(rto);
+    rto_sum += rto;
+    std::lock_guard lock(mutex_);
+    stats_.rto_wait_us += rto;
+  }
+  return rto_sum;
+}
+
 std::vector<std::uint8_t> PerturbingTransport::call(const Envelope& env) {
   const Draw d = draw(/*one_way=*/false);
 
@@ -424,24 +448,9 @@ std::vector<std::uint8_t> PerturbingTransport::call(const Envelope& env) {
     auto* clock = sim::VirtualClock::current();
     const auto& model = router_.model();
 
-    // Copies whose REQUEST was dropped in flight: the wire send is
-    // accounted (it left the sender), the handler never runs, the caller
-    // blocks out the modeled RTO and retransmits.
-    for (std::uint32_t i = 0; i < sched.req_lost; ++i, ++attempt) {
-      Envelope lost = e;
-      if (attempt > 0)
-        lost.trace_flags = static_cast<std::uint16_t>(lost.trace_flags |
-                                                      trace::kFlagPerturbed);
-      (void)inner_->notify(lost);
-      router_.account_loss(lost);
-      const double rto = model.retransmit_timeout_us(attempt);
-      router_.account_retransmit(lost, attempt + 1, rto);
-      if (clock != nullptr) clock->charge(rto);
-      std::lock_guard lock(mutex_);
-      ++stats_.losses;
-      ++stats_.retransmits;
-      stats_.rto_wait_us += rto;
-    }
+    // Copies whose REQUEST was dropped in flight: the handler never runs,
+    // the caller blocks out the modeled RTO and retransmits.
+    (void)drop_copies(e, sched.req_lost, &attempt, clock);
     // Copies that were delivered but whose REPLY was dropped: the handler
     // runs (and will run AGAIN on the retransmission — the idempotence
     // contract, exercised by genuine loss), the reply evaporates, the
@@ -462,8 +471,6 @@ std::vector<std::uint8_t> PerturbingTransport::call(const Envelope& env) {
       router_.account_retransmit(dup, attempt + 1, rto);
       if (clock != nullptr) clock->charge(rto);
       std::lock_guard lock(mutex_);
-      ++stats_.losses;
-      ++stats_.retransmits;
       stats_.rto_wait_us += rto;
     }
     if (!sched.delivered)
@@ -505,21 +512,7 @@ PendingReply PerturbingTransport::call_async(const Envelope& env) {
     // Request copies dropped in flight: accounted on the caller now; the
     // retransmit timer runs concurrently with the caller's compute, so the
     // RTO is folded into the reply's completion time, not charged here.
-    for (std::uint32_t i = 0; i < sched.req_lost; ++i, ++attempt) {
-      Envelope lost = e;
-      if (attempt > 0)
-        lost.trace_flags = static_cast<std::uint16_t>(lost.trace_flags |
-                                                      trace::kFlagPerturbed);
-      (void)inner_->notify(lost);
-      router_.account_loss(lost);
-      const double rto = model.retransmit_timeout_us(attempt);
-      router_.account_retransmit(lost, attempt + 1, rto);
-      penalty += rto;
-      std::lock_guard lock(mutex_);
-      ++stats_.losses;
-      ++stats_.retransmits;
-      stats_.rto_wait_us += rto;
-    }
+    penalty += drop_copies(e, sched.req_lost, &attempt, nullptr);
     if (!sched.delivered)
       throw TransportError(env.src, env.dst, env.type, sched.attempts);
     if (attempt > 0)
@@ -543,8 +536,6 @@ PendingReply PerturbingTransport::call_async(const Envelope& env) {
       penalty += rto;
       riders.push_back({dup, penalty});
       std::lock_guard lock(mutex_);
-      ++stats_.losses;
-      ++stats_.retransmits;
       stats_.rto_wait_us += rto;
     }
   }
@@ -603,21 +594,7 @@ Delivery PerturbingTransport::notify_ex(const Envelope& env) {
 
   // Notice copies dropped in flight: the content arrives only once a copy
   // gets through, so each loss delays delivery by the sender's RTO.
-  for (std::uint32_t i = 0; i < sched.req_lost; ++i, ++attempt) {
-    Envelope lost = e;
-    if (attempt > 0)
-      lost.trace_flags = static_cast<std::uint16_t>(lost.trace_flags |
-                                                    trace::kFlagPerturbed);
-    (void)inner_->notify(lost);
-    router_.account_loss(lost);
-    const double rto = model.retransmit_timeout_us(attempt);
-    router_.account_retransmit(lost, attempt + 1, rto);
-    out.cost_us += rto;
-    std::lock_guard lock(mutex_);
-    ++stats_.losses;
-    ++stats_.retransmits;
-    stats_.rto_wait_us += rto;
-  }
+  out.cost_us += drop_copies(e, sched.req_lost, &attempt, nullptr);
   if (!sched.delivered)
     throw TransportError(env.src, env.dst, env.type, sched.attempts);
 
@@ -639,8 +616,6 @@ Delivery PerturbingTransport::notify_ex(const Envelope& env) {
     ack.wire_extra = kSeqAckBytes;
     (void)inner_->notify(ack);
     router_.account_ack(e.dst, e, seq);
-    std::lock_guard lock(mutex_);
-    ++stats_.acks;
     return ack;
   };
 
@@ -658,8 +633,6 @@ Delivery PerturbingTransport::notify_ex(const Envelope& env) {
     out.duplicate = true;
     out.dup_cost_us += inner_->notify(dup);
     std::lock_guard lock(mutex_);
-    ++stats_.losses;
-    ++stats_.retransmits;
     ++stats_.dups_suppressed;
     stats_.rto_wait_us += rto;
   }
@@ -677,14 +650,17 @@ Delivery PerturbingTransport::notify_ex(const Envelope& env) {
   return out;
 }
 
-double PerturbingTransport::notify(const Envelope& env) {
-  const Delivery d = notify_ex(env);
-  return d.cost_us + d.dup_cost_us;
-}
-
 PerturbStats PerturbingTransport::stats() const {
-  std::lock_guard lock(mutex_);
-  return stats_;
+  PerturbStats s;
+  {
+    std::lock_guard lock(mutex_);
+    s = stats_;
+  }
+  const StatsSnapshot live = router_.snapshot();
+  s.losses = live[Counter::kMsgsLost];
+  s.retransmits = live[Counter::kRetransmits];
+  s.acks = live[Counter::kAcksSent];
+  return s;
 }
 
 void PerturbingTransport::reset_stats() {

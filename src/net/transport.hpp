@@ -5,7 +5,8 @@
 // reaches its destination and what it costs. Protocol code builds an
 // Envelope and calls `router.transport().call(env)` (request/reply) or
 // `.notify(env)` (one-way, accounting + modeled cost); it never constructs
-// wire framing or touches counters itself.
+// wire framing or touches counters itself. Every one-way send goes through
+// the one virtual notify_ex(); notify() is its scalar wrapper.
 //
 // Three implementations:
 //  * InlineTransport — the seed semantics, bit-for-bit: serialize, account
@@ -20,7 +21,7 @@
 //    the modeled completion time; waiting is a Lamport merge (advance_to),
 //    so a thread that issued N concurrent requests ends at the MAX of their
 //    completion times, not the sum — the overlap the paper's speedups come
-//    from. The synchronous call()/notify() paths delegate to the inner
+//    from. The synchronous call()/notify_ex() paths delegate to the inner
 //    transport unchanged.
 //  * PerturbingTransport — a seeded fault-injection decorator in the spirit
 //    of the UDP/IP networks real SDSM systems ran on (TreadMarks serviced
@@ -188,17 +189,17 @@ public:
   virtual std::vector<std::uint8_t> call(const Envelope& env) = 0;
 
   // One-way message whose content the caller applies by direct invocation.
-  // Accounts it on the sender's board and returns the modeled one-way cost
-  // in microseconds (the caller decides whose clock absorbs it).
-  virtual double notify(const Envelope& env) = 0;
+  // Accounts it on the sender's board and reports the delivery-time
+  // decomposition (see Delivery) so mailbox layers can model arrival times
+  // faithfully. The only one-way entry point a transport implements.
+  virtual Delivery notify_ex(const Envelope& env) = 0;
 
-  // Like notify() but reports the delivery-time decomposition (see
-  // Delivery). The default wraps notify(); decorators that inject faults
-  // override it so mailbox layers can model arrival times faithfully.
-  virtual Delivery notify_ex(const Envelope& env) {
-    Delivery d;
-    d.cost_us = notify(env);
-    return d;
+  // notify_ex() as one modeled cost in microseconds — the primary copy plus
+  // any injected duplicate — for callers that only charge it to a clock
+  // (the caller decides whose clock absorbs it).
+  double notify(const Envelope& env) {
+    const Delivery d = notify_ex(env);
+    return d.cost_us + d.dup_cost_us;
   }
 
   // Asynchronous request/reply. The default bridges to the synchronous
@@ -235,7 +236,7 @@ public:
   explicit InlineTransport(Router& router);
 
   std::vector<std::uint8_t> call(const Envelope& env) override;
-  double notify(const Envelope& env) override;
+  Delivery notify_ex(const Envelope& env) override;
   const char* name() const override { return "inline"; }
 
   // Cumulative modeled queueing per topology stage (index = stage), for
@@ -323,8 +324,8 @@ struct OverlapOptions {
 // Host-order effects are confined to handler *content* (which twin flush a
 // service-time request observes), the same window the inline transport has.
 //
-// The synchronous call()/notify() paths delegate to the inner transport so
-// non-overlapped traffic keeps seed semantics bit-for-bit.
+// The synchronous call()/notify_ex() paths delegate to the inner transport
+// so non-overlapped traffic keeps seed semantics bit-for-bit.
 class QueuedTransport final : public Transport {
 public:
   QueuedTransport(std::unique_ptr<Transport> inner, Router& router);
@@ -333,7 +334,6 @@ public:
   std::vector<std::uint8_t> call(const Envelope& env) override {
     return inner_->call(env);
   }
-  double notify(const Envelope& env) override { return inner_->notify(env); }
   Delivery notify_ex(const Envelope& env) override {
     return inner_->notify_ex(env);
   }
@@ -449,7 +449,9 @@ struct PerturbStats {
   std::uint64_t duplicates = 0; // injected re-deliveries
   std::uint64_t reorders = 0;   // held-back one-way notifications
   double jitter_us = 0;         // total injected latency (jitter + hold-back)
-  // Reliable-delivery layer:
+  // Reliable-delivery layer. The first three are not tallied here: stats()
+  // reads them from the Router's kMsgsLost, kRetransmits and kAcksSent,
+  // which count (and trace) every loss, retransmission and ack.
   std::uint64_t losses = 0;         // one-way deliveries dropped
   std::uint64_t retransmits = 0;    // RTO expiries that reissued a copy
   std::uint64_t acks = 0;           // explicit acks on notice channels
@@ -466,7 +468,6 @@ public:
                       PerturbOptions opts);
 
   std::vector<std::uint8_t> call(const Envelope& env) override;
-  double notify(const Envelope& env) override;
   Delivery notify_ex(const Envelope& env) override;
   PendingReply call_async(const Envelope& env) override;
   bool supports_async() const override { return inner_->supports_async(); }
@@ -516,6 +517,13 @@ private:
   // stamps *seq with the exchange's channel sequence number.
   LossSchedule draw_roundtrip(ContextId src, ContextId dst,
                               std::uint32_t* seq);
+  // Play out `count` copies of `e` dropped in flight: each is wire-accounted
+  // (it left the sender) and lost, and its sender waits out one modeled RTO
+  // before retransmitting. Advances *attempt past them and returns the
+  // summed RTO; with a non-null `clock` each RTO is also charged to it as
+  // the copy times out.
+  double drop_copies(const Envelope& e, std::uint32_t count,
+                     std::uint32_t* attempt, sim::VirtualClock* clock);
 
   std::unique_ptr<Transport> inner_;
   Router& router_;

@@ -94,18 +94,8 @@ void DsmContext::on_fault(void* addr, bool is_write) {
       else
         fetch_and_apply(p, lock);
       // fetch_and_apply leaves state kInvalid with all pending notices
-      // applied; install the final access below.
-      const bool want_write = is_write || meta.twin != nullptr;
-      if (want_write) {
-        if (meta.twin == nullptr) make_twin(p);
-        meta.state = PageState::kReadWrite;
-        meta.written_since_flush = true;
-        if (meta.prot != Protection::kReadWrite)
-          set_prot(p, Protection::kReadWrite);
-      } else {
-        meta.state = PageState::kRead;
-        set_prot(p, Protection::kRead);
-      }
+      // applied; install the final access.
+      install_access_locked(p, is_write);
       fetch_cv_.notify_all();
       break;
     }
@@ -126,6 +116,20 @@ void DsmContext::on_fault(void* addr, bool is_write) {
   OMSP_TRACE_EVENT(kPageFault, id_, p, 0,
                    is_write ? trace::kFlagWrite : std::uint16_t{0},
                    rs.clock() != nullptr ? rs.clock()->now_us() - fault_t0 : 0);
+}
+
+void DsmContext::install_access_locked(PageId p, bool is_write) {
+  PageMeta& meta = pages_[p];
+  if (is_write || meta.twin != nullptr) {
+    if (meta.twin == nullptr) make_twin(p);
+    meta.state = PageState::kReadWrite;
+    meta.written_since_flush = true;
+    if (meta.prot != Protection::kReadWrite)
+      set_prot(p, Protection::kReadWrite);
+  } else {
+    meta.state = PageState::kRead;
+    set_prot(p, Protection::kRead);
+  }
 }
 
 void DsmContext::set_prot(PageId p, Protection prot) {
@@ -179,51 +183,42 @@ void DsmContext::fetch_and_apply(PageId p, std::unique_lock<std::mutex>& lock) {
     IntervalSeq have;
     IntervalSeq want;
   };
-  // One fetched diff awaiting the final vt-sorted apply. `view` points at
-  // the diff payload inside the shared reply buffer that `backing` keeps
-  // alive.
-  struct Got {
-    std::uint64_t vtsum;
-    IntervalSeq seq;
-    ContextId creator;
-    std::shared_ptr<std::vector<std::uint8_t>> backing;
-    std::span<const std::uint8_t> view;
-  };
 
   // Collect every diff first, apply once at the end: applying per fetch
   // round could put a later round's lower-vt diff on top of bytes a causally
   // newer diff already installed. Notice batches are vector-time-complete,
   // so all causally related pendings surface within this one fetch session
   // and a single global sort yields a correct order.
-  std::vector<Got> got;
+  std::vector<BufferedDiff> got;
 
-  // Parse one kDiffRequest reply (shared by the sync and async rounds):
-  // apply the piggybacked records, park the diffs in `got`, return the
-  // highest interval tag now in hand. The reply moves into a shared backing
-  // and every diff payload is a view into it. Called with no page lock held
+  // The request carries our vector time; the reply piggybacks every
+  // interval record we lack. Merging them (an acquire, effectively) before
+  // our next interval closes makes our later intervals causally dominate
+  // every byte consumed here — the property that makes the vt-sum apply
+  // order correct for conflicting diffs.
+  auto diff_request = [p](const Need& need, const VectorTime& vt) {
+    ByteWriter req;
+    req.put<PageId>(p);
+    req.put<IntervalSeq>(need.have);
+    req.put<IntervalSeq>(need.want);
+    vt.serialize(req);
+    return req;
+  };
+  // Take in one kDiffRequest reply (shared by the sync and async rounds):
+  // apply the piggybacked records, park the diffs in `got` and mark
+  // everything the reply covers applied. Called with no page lock held
   // (apply_records takes page locks).
-  auto parse_reply = [&](std::vector<std::uint8_t>&& reply, ContextId creator,
-                         IntervalSeq have) -> IntervalSeq {
+  auto take_reply = [&](std::vector<std::uint8_t>&& reply, const Need& need) {
     auto backing =
         std::make_shared<std::vector<std::uint8_t>>(std::move(reply));
     ByteReader r(*backing);
     auto recs = deserialize_records(r);
     if (!recs.empty())
       apply_records(recs, /*sync=*/false); // data piggyback, no page lock
-    const auto floor = r.get<IntervalSeq>();
-    const auto count = r.get<std::uint32_t>();
-    IntervalSeq maxseq = std::max(have, floor);
-    for (std::uint32_t j = 0; j < count; ++j) {
-      Got g;
-      g.seq = r.get<IntervalSeq>();
-      g.vtsum = r.get<std::uint64_t>();
-      g.creator = creator;
-      g.view = r.view_bytes(r.get<std::uint32_t>());
-      g.backing = backing;
-      maxseq = std::max(maxseq, g.seq);
-      got.push_back(std::move(g));
-    }
-    return maxseq;
+    DiffList list = read_diffs(r, backing, need.creator, need.have);
+    got.insert(got.end(), std::make_move_iterator(list.diffs.begin()),
+               std::make_move_iterator(list.diffs.end()));
+    mark_applied(p, need.creator, list.covers);
   };
   for (;;) {
     std::vector<Need> needs;
@@ -247,7 +242,7 @@ void DsmContext::fetch_and_apply(PageId p, std::unique_lock<std::mutex>& lock) {
       // partial cover just raises `have` for the request below. applied_
       // only advances here — inside the fetch session that moves the bytes
       // into `got` — never at absorb time.
-      std::vector<PrefetchEntry> entries;
+      std::vector<DiffList> entries;
       {
         std::lock_guard<std::mutex> pm(prefetch_mutex_);
         auto it = prefetch_buffer_.find(p);
@@ -276,19 +271,14 @@ void DsmContext::fetch_and_apply(PageId p, std::unique_lock<std::mutex>& lock) {
               if (d.seq <= nd.have) continue; // stale: already applied
               used_bytes += d.view.size();
               maxseq = std::max(maxseq, d.seq);
-              got.push_back(Got{d.vt_sum, d.seq, nd.creator,
-                                std::move(d.backing), d.view});
+              got.push_back(std::move(d));
             }
           }
           if (!matched) {
             ++it;
             continue;
           }
-          {
-            std::lock_guard<std::mutex> tl(table_mutex_);
-            IntervalSeq& a = applied_[std::size_t{p} * nc_ + nd.creator];
-            a = std::max(a, maxseq);
-          }
+          mark_applied(p, nd.creator, maxseq);
           // Residual stall: zero when the batch completed before this first
           // touch (the prefetch fully overlapped with compute).
           const double t0 = clock != nullptr ? clock->now_us() : 0;
@@ -330,11 +320,7 @@ void DsmContext::fetch_and_apply(PageId p, std::unique_lock<std::mutex>& lock) {
       pendings.reserve(needs.size());
       bool offnode = false;
       for (const Need& need : needs) {
-        ByteWriter req;
-        req.put<PageId>(p);
-        req.put<IntervalSeq>(need.have);
-        req.put<IntervalSeq>(need.want);
-        my_vt.serialize(req);
+        const ByteWriter req = diff_request(need, my_vt);
         pendings.push_back(
             router_.transport().call_async(net::Envelope::request(
                 id_, need.creator, net::MsgType::kDiffRequest, req)));
@@ -348,11 +334,7 @@ void DsmContext::fetch_and_apply(PageId p, std::unique_lock<std::mutex>& lock) {
         auto reply = pendings[i].wait_at(&complete); // no clock advance yet
         last_complete = std::max(last_complete, complete);
         total_bytes += reply.size();
-        const IntervalSeq maxseq =
-            parse_reply(std::move(reply), need.creator, need.have);
-        std::lock_guard<std::mutex> tl(table_mutex_);
-        IntervalSeq& a = applied_[std::size_t{p} * nc_ + need.creator];
-        a = std::max(a, maxseq);
+        take_reply(std::move(reply), need);
       }
       if (clock != nullptr) clock->advance_to(last_complete);
       OMSP_TRACE_EVENT(kDiffFetchAsync, id_, p, total_bytes,
@@ -360,29 +342,14 @@ void DsmContext::fetch_and_apply(PageId p, std::unique_lock<std::mutex>& lock) {
                        clock != nullptr ? clock->now_us() - t0 : 0);
     } else {
       for (const Need& need : needs) {
-        // The request carries our vector time; the reply piggybacks every
-        // interval record we lack. Merging them (an acquire, effectively)
-        // before our next interval closes makes our later intervals causally
-        // dominate every byte consumed here — the property that makes the
-        // vt-sum apply order correct for conflicting diffs.
-        ByteWriter req;
-        req.put<PageId>(p);
-        req.put<IntervalSeq>(need.have);
-        req.put<IntervalSeq>(need.want);
-        my_vt.serialize(req);
+        const ByteWriter req = diff_request(need, my_vt);
         auto reply = router_.transport().call(net::Envelope::request(
             id_, need.creator, net::MsgType::kDiffRequest, req));
         OMSP_TRACE_EVENT(kDiffFetch, id_, p, reply.size(),
                          router_.same_node(id_, need.creator)
                              ? std::uint16_t{0}
                              : trace::kFlagOffNode);
-        const IntervalSeq maxseq =
-            parse_reply(std::move(reply), need.creator, need.have);
-        {
-          std::lock_guard<std::mutex> tl(table_mutex_);
-          IntervalSeq& a = applied_[std::size_t{p} * nc_ + need.creator];
-          a = std::max(a, maxseq);
-        }
+        take_reply(std::move(reply), need);
       }
     }
     lock.lock();
@@ -394,7 +361,9 @@ void DsmContext::fetch_and_apply(PageId p, std::unique_lock<std::mutex>& lock) {
   // diffs land in order; concurrent diffs touch disjoint bytes in any
   // data-race-free program, so their relative order is irrelevant.
   std::stable_sort(got.begin(), got.end(),
-                   [](const Got& a, const Got& b) { return a.vtsum < b.vtsum; });
+                   [](const BufferedDiff& a, const BufferedDiff& b) {
+                     return a.vt_sum < b.vt_sum;
+                   });
   if (!got.empty()) {
     // The write-enable below is the faulting application thread's own
     // modeled mprotect (original TreadMarks); the store itself goes through
@@ -403,7 +372,7 @@ void DsmContext::fetch_and_apply(PageId p, std::unique_lock<std::mutex>& lock) {
       set_prot(p, Protection::kReadWrite); // original needs write-enable
     std::uint8_t* dst = heap_.runtime_page(p);
     auto* clock = sim::VirtualClock::current();
-    for (const Got& g : got) {
+    for (const BufferedDiff& g : got) {
       apply_diff(g.view, dst);
       // A locally-dirty page must absorb remote diffs into its twin as well:
       // otherwise this context's next diff would re-export the remote bytes
@@ -472,25 +441,9 @@ void DsmContext::handle(ContextId src, net::MsgType type, ByteReader& request,
     for (const auto& [p, have] : wants) {
       OMSP_CHECK(p < pages_.size());
       std::unique_lock<std::mutex> lock(page_lock(p));
-      PageMeta& meta = pages_[p];
-      if (meta.twin != nullptr) flush_page_diff_locked(p);
-      IntervalSeq floor;
-      {
-        std::lock_guard<std::mutex> tl(table_mutex_);
-        floor = last_listed_[p];
-      }
+      if (pages_[p].twin != nullptr) flush_page_diff_locked(p);
       body.put<PageId>(p);
-      body.put<IntervalSeq>(floor);
-      std::uint32_t count = 0;
-      for (const auto& [seq, bytes] : meta.stored_diffs)
-        if (seq > have) ++count;
-      body.put<std::uint32_t>(count);
-      for (const auto& [seq, bytes] : meta.stored_diffs) {
-        if (seq <= have) continue;
-        body.put<IntervalSeq>(seq);
-        body.put<std::uint64_t>(vt_sum_of_own(seq));
-        body.put_span<std::uint8_t>({bytes.data(), bytes.size()});
-      }
+      put_diffs_above_locked(p, have, body);
     }
 
     // Phase 2: piggybacked records, computed AFTER every flush above so the
@@ -512,17 +465,20 @@ void DsmContext::handle(ContextId src, net::MsgType type, ByteReader& request,
   OMSP_CHECK(p < pages_.size());
 
   std::unique_lock<std::mutex> lock(page_lock(p));
-  PageMeta& meta = pages_[p];
   // Lazy diffing: materialize the outstanding twin only when a requester
   // actually asks for this page.
-  if (meta.twin != nullptr) flush_page_diff_locked(p);
+  if (pages_[p].twin != nullptr) flush_page_diff_locked(p);
 
   // Piggyback every interval record the requester lacks. Computed AFTER the
   // flush so a freshly minted interval is included — the requester must
   // merge it for the causal-dominance ordering argument to hold.
   // (records_unknown_to takes the table lock, which nests inside page locks.)
   serialize_records(records_unknown_to(req_vt), reply);
+  put_diffs_above_locked(p, have, reply);
+}
 
+void DsmContext::put_diffs_above_locked(PageId p, IntervalSeq have,
+                                        ByteWriter& out) {
   // With no twin outstanding, everything any of our published intervals has
   // listed for this page is contained in the stored diffs. The floor lets
   // the requester mark those intervals applied even when its `have` filter
@@ -533,18 +489,43 @@ void DsmContext::handle(ContextId src, net::MsgType type, ByteReader& request,
     std::lock_guard<std::mutex> tl(table_mutex_);
     floor = last_listed_[p];
   }
-  reply.put<IntervalSeq>(floor);
-
+  out.put<IntervalSeq>(floor);
+  const auto& stored = pages_[p].stored_diffs;
   std::uint32_t count = 0;
-  for (const auto& [seq, bytes] : meta.stored_diffs)
+  for (const auto& [seq, bytes] : stored)
     if (seq > have) ++count;
-  reply.put<std::uint32_t>(count);
-  for (const auto& [seq, bytes] : meta.stored_diffs) {
+  out.put<std::uint32_t>(count);
+  for (const auto& [seq, bytes] : stored) {
     if (seq <= have) continue;
-    reply.put<IntervalSeq>(seq);
-    reply.put<std::uint64_t>(vt_sum_of_own(seq));
-    reply.put_span<std::uint8_t>({bytes.data(), bytes.size()});
+    out.put<IntervalSeq>(seq);
+    out.put<std::uint64_t>(vt_sum_of_own(seq));
+    out.put_span<std::uint8_t>({bytes.data(), bytes.size()});
   }
+}
+
+DsmContext::DiffList DsmContext::read_diffs(ByteReader& r,
+                                            const Backing& backing,
+                                            ContextId creator,
+                                            IntervalSeq have) {
+  DiffList list;
+  list.creator = creator;
+  list.floor = r.get<IntervalSeq>();
+  list.covers = std::max(have, list.floor);
+  list.diffs.resize(r.get<std::uint32_t>());
+  for (BufferedDiff& d : list.diffs) {
+    d.seq = r.get<IntervalSeq>();
+    d.vt_sum = r.get<std::uint64_t>();
+    d.view = r.view_bytes(r.get<std::uint32_t>());
+    d.backing = backing;
+    list.covers = std::max(list.covers, d.seq);
+  }
+  return list;
+}
+
+void DsmContext::mark_applied(PageId p, ContextId creator, IntervalSeq seq) {
+  std::lock_guard<std::mutex> tl(table_mutex_);
+  IntervalSeq& a = applied_[std::size_t{p} * nc_ + creator];
+  a = std::max(a, seq);
 }
 
 void DsmContext::apply_bytes_at_home(PageId p, const std::uint8_t* bytes,
@@ -696,10 +677,8 @@ void DsmContext::fetch_from_home(PageId p,
   meta.fetch_in_progress = false;
 }
 
-void DsmContext::flush_page_diff_locked(PageId p) {
-  chaos_point(config_.chaos_permille);
+DiffBytes DsmContext::scan_twin_locked(PageId p, std::uint8_t* snapshot) {
   PageMeta& meta = pages_[p];
-  OMSP_CHECK(meta.twin != nullptr);
   // Write-protect BEFORE diffing: a sibling thread of this node may be
   // storing into the page right now (it holds write access). Revoking write
   // access first guarantees every store is either complete — and thus
@@ -713,11 +692,27 @@ void DsmContext::flush_page_diff_locked(PageId p) {
   // Snapshot the contents without touching the app mapping's protection:
   // relaxing an invalid page here would let the application read stale data
   // (or write) concurrently without faulting.
-  std::uint8_t snapshot[kPageSize];
   heap_.snapshot_page(p, snapshot);
-  const std::uint8_t* current = snapshot;
   DiffBytes diff = diff_pool_.acquire();
-  create_diff_into(meta.twin.get(), current, diff, kPageSize);
+  create_diff_into(meta.twin.get(), snapshot, diff, kPageSize);
+  return diff;
+}
+
+void DsmContext::count_diff_created(PageId p, std::size_t bytes) {
+  stats_->add(Counter::kDiffsCreated);
+  stats_->add(Counter::kDiffBytesCreated, bytes);
+  OMSP_TRACE_EVENT(kDiffCreate, id_, p, bytes);
+  if (auto* clock = sim::VirtualClock::current(); clock != nullptr)
+    clock->charge(config_.cost.diff_create_base_us +
+                  config_.cost.diff_byte_us * kPageSize);
+}
+
+void DsmContext::flush_page_diff_locked(PageId p) {
+  chaos_point(config_.chaos_permille);
+  PageMeta& meta = pages_[p];
+  OMSP_CHECK(meta.twin != nullptr);
+  std::uint8_t current[kPageSize];
+  DiffBytes diff = scan_twin_locked(p, current);
 
   IntervalSeq tag;
   bool minted = false;
@@ -794,12 +789,7 @@ void DsmContext::flush_page_diff_locked(PageId p) {
     meta.race_twin.reset();
   }
 
-  stats_->add(Counter::kDiffsCreated);
-  stats_->add(Counter::kDiffBytesCreated, diff.size());
-  OMSP_TRACE_EVENT(kDiffCreate, id_, p, diff.size());
-  if (auto* clock = sim::VirtualClock::current(); clock != nullptr)
-    clock->charge(config_.cost.diff_create_base_us +
-                  config_.cost.diff_byte_us * kPageSize);
+  count_diff_created(p, diff.size());
   if (!diff.empty()) {
     stored_diff_bytes_.fetch_add(diff.size(), std::memory_order_relaxed);
     if (!meta.stored_diffs.empty() && meta.stored_diffs.back().first == tag) {
@@ -899,20 +889,9 @@ std::optional<IntervalRecord> DsmContext::close_interval() {
       std::lock_guard<std::mutex> pl(page_lock(p));
       PageMeta& meta = pages_[p];
       if (meta.twin == nullptr) continue;
-      if (meta.state == PageState::kReadWrite) {
-        meta.state = PageState::kRead;
-        set_prot(p, Protection::kRead); // write barrier before the scan
-      }
       std::uint8_t snapshot[kPageSize];
-      heap_.snapshot_page(p, snapshot);
-      DiffBytes diff = diff_pool_.acquire();
-      create_diff_into(meta.twin.get(), snapshot, diff, kPageSize);
-      stats_->add(Counter::kDiffsCreated);
-      stats_->add(Counter::kDiffBytesCreated, diff.size());
-      OMSP_TRACE_EVENT(kDiffCreate, id_, p, diff.size());
-      if (auto* clock = sim::VirtualClock::current(); clock != nullptr)
-        clock->charge(config_.cost.diff_create_base_us +
-                      config_.cost.diff_byte_us * kPageSize);
+      DiffBytes diff = scan_twin_locked(p, snapshot);
+      count_diff_created(p, diff.size());
       // The at-close collection above already attributed this page's delta
       // to rec.seq; the baseline dies with the twin.
       meta.race_twin.reset();
@@ -1091,15 +1070,7 @@ void DsmContext::validate_all_pages() {
       fetch_from_home(p, lock);
     else
       fetch_and_apply(p, lock);
-    if (meta.twin != nullptr) {
-      meta.state = PageState::kReadWrite;
-      meta.written_since_flush = true;
-      if (meta.prot != Protection::kReadWrite)
-        set_prot(p, Protection::kReadWrite);
-    } else {
-      meta.state = PageState::kRead;
-      set_prot(p, Protection::kRead);
-    }
+    install_access_locked(p, /*is_write=*/false);
   }
 }
 
@@ -1231,29 +1202,16 @@ void DsmContext::absorb_batch_reply(PrefetchBatch& batch) {
   const auto npages = r.get<std::uint32_t>();
   OMSP_CHECK_MSG(npages == batch.pages.size(),
                  "batch reply page count mismatch");
-  std::vector<std::pair<PageId, PrefetchEntry>> parsed;
+  std::vector<std::pair<PageId, DiffList>> parsed;
   parsed.reserve(npages);
-  for (std::uint32_t i = 0; i < npages; ++i) {
-    const auto p = r.get<PageId>();
-    OMSP_CHECK_MSG(p == batch.pages[i].first,
-                   "batch reply page order mismatch");
-    PrefetchEntry e;
-    e.creator = batch.creator;
-    e.floor = r.get<IntervalSeq>();
-    e.ready_us = complete;
+  for (const auto& [p, have] : batch.pages) {
+    const auto shipped = r.get<PageId>();
+    OMSP_CHECK_MSG(shipped == p, "batch reply page order mismatch");
     // Coverage starts at the request-time `have` (already raised by any
     // prior buffered entries) and extends over whatever actually shipped.
-    e.covers = std::max(batch.pages[i].second, e.floor);
-    const auto count = r.get<std::uint32_t>();
-    e.diffs.resize(count);
-    for (auto& d : e.diffs) {
-      d.seq = r.get<IntervalSeq>();
-      d.vt_sum = r.get<std::uint64_t>();
-      d.view = r.view_bytes(r.get<std::uint32_t>());
-      d.backing = backing;
-      e.covers = std::max(e.covers, d.seq);
-    }
-    parsed.emplace_back(p, std::move(e));
+    DiffList list = read_diffs(r, backing, batch.creator, have);
+    list.ready_us = complete;
+    parsed.emplace_back(p, std::move(list));
   }
   std::lock_guard<std::mutex> pm(prefetch_mutex_);
   for (auto& [p, e] : parsed) prefetch_buffer_[p].push_back(std::move(e));

@@ -31,7 +31,10 @@
 //     with an OMSP_TRACE_EVENT at the same site, and `omsp-trace check`
 //     asserts a lossless trace reconstructs every counter exactly — so a
 //     protocol change that forgets either half of the pair fails the trace
-//     integration tests rather than silently skewing Tables 2-3.
+//     integration tests rather than silently skewing Tables 2-3. Each pair
+//     lives in one function per protocol step: count_diff_created for diff
+//     creation, apply_records for received notices, and
+//     DsmSystem::send_records for the notices every sync edge sends.
 //
 // Locking discipline (deadlock-free by construction):
 //   page_lock(p)  — guards one page's state/twin/diffs. Taken by the fault
@@ -255,9 +258,18 @@ private:
   // Fault path helpers. All called with page_lock(p) held unless noted.
   void fetch_and_apply(PageId p, std::unique_lock<std::mutex>& lock);
   void make_twin(PageId p);
+  // Install the final access after a fetch: read-write (with a twin) for a
+  // write or when a twin is outstanding, read-only otherwise.
+  void install_access_locked(PageId p, bool is_write);
   // Creator-side: turn the outstanding twin into a stored diff, minting a
   // fresh interval when the twin holds unpublished writes. Frees the twin.
   void flush_page_diff_locked(PageId p);
+  // Write-protect p, copy its contents into `snapshot` (kPageSize bytes) and
+  // return the diff against the twin. Shared by the lazy flush and the
+  // home-based close; neither counts nor charges (count_diff_created does).
+  DiffBytes scan_twin_locked(PageId p, std::uint8_t* snapshot);
+  // Counters, trace event and modeled cost of one diff creation.
+  void count_diff_created(PageId p, std::size_t bytes);
   // Counted protection change that keeps PageMeta.prot in sync.
   void set_prot(PageId p, Protection prot);
   // Home-based protocol helpers.
@@ -270,30 +282,44 @@ private:
 
   std::uint64_t vt_sum_of_own(IntervalSeq seq);
 
-  // --- overlapped-fetch internals -------------------------------------------
-  // One diff as shipped on the wire, parked until a fetch session drains it.
-  // `view` points at the diff payload inside the shared reply buffer that
-  // `backing` keeps alive.
+  // --- diff replies ----------------------------------------------------------
+  // A delivered reply, shared by every diff parsed out of it.
+  using Backing = std::shared_ptr<std::vector<std::uint8_t>>;
+  // One diff as shipped on the wire, held until a fetch session applies it.
+  // `view` points at the diff payload inside the reply `backing` keeps alive.
   struct BufferedDiff {
     IntervalSeq seq = 0;
     std::uint64_t vt_sum = 0;
-    std::shared_ptr<std::vector<std::uint8_t>> backing;
+    Backing backing;
     std::span<const std::uint8_t> view;
   };
-  // Prefetched state for one (page, creator) pair. `floor` is the creator's
-  // last_listed_ answer (lets the drain advance applied_ even when no diffs
-  // shipped); `ready_us` is the modeled completion time of the batch reply.
-  // `covers` says every interval at or below it is either applied at request
-  // time or present in `diffs` — the next prefetch round requests only diffs
-  // above the buffered coverage, so a page that sits prefetched-but-untouched
-  // across barriers ships each diff once, not its whole history every round.
-  struct PrefetchEntry {
+  // One creator's diff list for one page, as a kDiffRequest reply or one
+  // page of a kDiffRequestBatch reply carries it. `floor` is the creator's
+  // last_listed_ answer (lets the reader advance applied_ even when no diffs
+  // shipped). `covers` says every interval at or below it is either applied
+  // at request time or present in `diffs` — the next prefetch round requests
+  // only diffs above the buffered coverage, so a page that sits prefetched-
+  // but-untouched across barriers ships each diff once, not its whole history
+  // every round. `ready_us` is the modeled completion time of a prefetched
+  // batch reply.
+  struct DiffList {
     ContextId creator = 0;
     IntervalSeq floor = 0;
     IntervalSeq covers = 0;
     double ready_us = 0;
     std::vector<BufferedDiff> diffs;
   };
+  // Writer: the diff list for p above `have` — floor, count, then
+  // {seq, vt_sum, bytes} per stored diff. Page lock held, twin flushed.
+  void put_diffs_above_locked(PageId p, IntervalSeq have, ByteWriter& out);
+  // Reader: parse one diff list written by put_diffs_above_locked out of
+  // `backing`, for a request that already had everything up to `have`.
+  DiffList read_diffs(ByteReader& r, const Backing& backing, ContextId creator,
+                      IntervalSeq have);
+  // Raise applied_ for (p, creator) to seq. Takes the table lock.
+  void mark_applied(PageId p, ContextId creator, IntervalSeq seq);
+
+  // --- overlapped-fetch internals -------------------------------------------
   // One outstanding kDiffRequestBatch: the pages asked of one creator plus
   // the pending reply handle.
   struct PrefetchBatch {
@@ -324,7 +350,7 @@ private:
   // when entries are drained into an active fetch session (draining under
   // the page lock), never at absorb time — otherwise a fetch session already
   // past its drain could mark bytes applied that it never merged.
-  std::unordered_map<PageId, std::vector<PrefetchEntry>> prefetch_buffer_;
+  std::unordered_map<PageId, std::vector<DiffList>> prefetch_buffer_;
 
   const Config& config_;
   ContextId id_;

@@ -172,19 +172,10 @@ void DsmSystem::parallel(const std::function<void(Rank)>& fn) {
   const double mnow = mclk.now_us();
   fork_start_time_[0] = mnow;
   for (ContextId c = 1; c < config_.num_contexts(); ++c) {
-    auto recs = contexts_[0]->records_unknown_to(contexts_[c]->vt_snapshot());
-    const std::size_t bytes = kForkDescriptorBytes + records_wire_size(recs);
-    const double cost = notify(0, c, MsgType::kForkDescriptor, bytes);
-    const auto notices = records_notice_count(recs);
-    router_->stats(0).add(Counter::kWriteNoticesSent, notices);
-    if (notices > 0) OMSP_TRACE_EVENT(kWriteNoticesSent, 0, notices);
-    contexts_[c]->apply_records(recs);
-    // Fork is a sync edge: the slave's race clock inherits everything the
-    // master sync-knows, even intervals the record stream skipped because
-    // the slave already held them via data piggybacks.
-    if (race_ != nullptr)
-      contexts_[c]->sync_cover(contexts_[0]->sync_vt_snapshot());
-    fork_start_time_[c] = mnow + cost;
+    const Handoff h = hand_off(0, c, MsgType::kForkDescriptor,
+                               kForkDescriptorBytes,
+                               contexts_[c]->vt_snapshot());
+    fork_start_time_[c] = mnow + h.cost_us;
   }
   {
     std::lock_guard<std::mutex> lk(fork_mutex_);
@@ -206,19 +197,12 @@ void DsmSystem::parallel(const std::function<void(Rank)>& fn) {
   }
   mclk.sync_cpu();
   for (ContextId c = 1; c < config_.num_contexts(); ++c) {
-    auto recs = contexts_[c]->records_unknown_to(contexts_[0]->vt_snapshot());
-    const std::size_t bytes = kForkDescriptorBytes + records_wire_size(recs);
-    const double cost = notify(c, 0, MsgType::kJoinNotice, bytes);
-    const auto notices = records_notice_count(recs);
-    router_->stats(c).add(Counter::kWriteNoticesSent, notices);
-    if (notices > 0) OMSP_TRACE_EVENT(kWriteNoticesSent, c, notices);
-    contexts_[0]->apply_records(recs);
-    if (race_ != nullptr) // join: master sync-inherits each slave's clock
-      contexts_[0]->sync_cover(contexts_[c]->sync_vt_snapshot());
+    const Handoff h = hand_off(c, 0, MsgType::kJoinNotice, kForkDescriptorBytes,
+                               contexts_[0]->vt_snapshot());
     // Master resumes after the last join message arrives.
     for (Rank r = 0; r < nprocs(); ++r)
       if (config_.context_of_rank(r) == c)
-        mclk.advance_to(join_times_[r] + cost);
+        mclk.advance_to(join_times_[r] + h.cost_us);
   }
   for (Rank r = 0; r < nprocs(); ++r)
     if (config_.context_of_rank(r) == 0) mclk.advance_to(join_times_[r]);
@@ -265,11 +249,10 @@ void DsmSystem::barrier() {
         contexts_[cid]->records_unknown_to(contexts_[0]->vt_snapshot());
     bar_arrival_vt_[cid] = contexts_[cid]->vt_snapshot();
     if (cid != 0 && !tree) {
-      const std::size_t bytes = vt_wire_size() + records_wire_size(recs);
-      arrival_cost = notify(cid, 0, MsgType::kBarrierArrival, bytes);
-      const auto notices = records_notice_count(recs);
-      router_->stats(cid).add(Counter::kWriteNoticesSent, notices);
-      if (notices > 0) OMSP_TRACE_EVENT(kWriteNoticesSent, cid, notices);
+      // The manager applies every arrival at once, after the last one.
+      arrival_cost = send_records(cid, 0, MsgType::kBarrierArrival,
+                                  vt_wire_size(), recs)
+                         .cost_us;
       bar_pending_arrivals_.insert(bar_pending_arrivals_.end(),
                                    std::make_move_iterator(recs.begin()),
                                    std::make_move_iterator(recs.end()));
@@ -302,18 +285,11 @@ void DsmSystem::barrier() {
       // cost knobs, so the seed timing is unchanged).
       double inject_backlog = 0;
       for (ContextId c = 1; c < config_.num_contexts(); ++c) {
-        auto recs = contexts_[0]->records_unknown_to(bar_arrival_vt_[c]);
-        const std::size_t bytes = vt_wire_size() + records_wire_size(recs);
-        const double cost = notify(0, c, MsgType::kBarrierDeparture, bytes);
-        const auto notices = records_notice_count(recs);
-        router_->stats(0).add(Counter::kWriteNoticesSent, notices);
-        if (notices > 0) OMSP_TRACE_EVENT(kWriteNoticesSent, 0, notices);
-        contexts_[c]->apply_records(recs);
-        if (race_ != nullptr)
-          contexts_[c]->sync_cover(contexts_[0]->sync_vt_snapshot());
-        bar_departure_time_[c] = depart + inject_backlog + cost;
+        const Handoff h = hand_off(0, c, MsgType::kBarrierDeparture,
+                                   vt_wire_size(), bar_arrival_vt_[c]);
+        bar_departure_time_[c] = depart + inject_backlog + h.cost_us;
         inject_backlog += config_.topology.message_occupancy_us(
-            config_.cost, bytes + net::kHeaderBytes,
+            config_.cost, h.bytes + net::kHeaderBytes,
             config_.node_of_context(0), config_.node_of_context(c));
       }
     }
@@ -381,23 +357,17 @@ void DsmSystem::tree_barrier_episode() {
   for (const std::uint32_t m : sched.up_order()) {
     if (sched.parent(m) < 0) continue;
     const auto parent = static_cast<ContextId>(sched.parent(m));
-    auto recs =
-        contexts_[m]->records_unknown_to(contexts_[parent]->vt_snapshot());
-    const std::size_t bytes = vt_wire_size() + records_wire_size(recs);
-    const double cost = notify(m, parent, MsgType::kBarrierArrival, bytes);
-    const auto notices = records_notice_count(recs);
-    router_->stats(m).add(Counter::kWriteNoticesSent, notices);
-    if (notices > 0) OMSP_TRACE_EVENT(kWriteNoticesSent, m, notices);
-    coll_stage(m, sched.level(m), parent, bytes + net::kHeaderBytes);
-    contexts_[parent]->apply_records(recs);
-    if (race_ != nullptr) // tree arrival: sync edge child -> leader
-      contexts_[parent]->sync_cover(contexts_[m]->sync_vt_snapshot());
+    const Handoff h = hand_off(m, parent, MsgType::kBarrierArrival,
+                               vt_wire_size(),
+                               contexts_[parent]->vt_snapshot());
+    const std::size_t wire = h.bytes + net::kHeaderBytes;
+    coll_stage(m, sched.level(m), parent, wire);
     ready[parent] =
-        std::max(ready[parent], ready[m] + sink_backlog[parent] + cost);
+        std::max(ready[parent], ready[m] + sink_backlog[parent] + h.cost_us);
     // The fan-in serializes at the rate of the stage the edge crosses: an
     // edge switch absorbs its nodes at NIC rate, a spine leader at trunk rate.
-    sink_backlog[parent] += config_.topology.stage_occupancy_us(
-        config_.cost, sched.level(m), bytes + net::kHeaderBytes);
+    sink_backlog[parent] +=
+        config_.topology.stage_occupancy_us(config_.cost, sched.level(m), wire);
   }
 
   const double depart = ready[0] + config_.cost.barrier_service_us;
@@ -411,22 +381,42 @@ void DsmSystem::tree_barrier_episode() {
   for (const std::uint32_t m : sched.down_order()) {
     if (sched.parent(m) < 0) continue;
     const auto parent = static_cast<ContextId>(sched.parent(m));
-    auto recs =
-        contexts_[parent]->records_unknown_to(contexts_[m]->vt_snapshot());
-    const std::size_t bytes = vt_wire_size() + records_wire_size(recs);
-    const double cost = notify(parent, m, MsgType::kBarrierDeparture, bytes);
-    const auto notices = records_notice_count(recs);
-    router_->stats(parent).add(Counter::kWriteNoticesSent, notices);
-    if (notices > 0) OMSP_TRACE_EVENT(kWriteNoticesSent, parent, notices);
-    coll_stage(parent, sched.level(m), parent, bytes + net::kHeaderBytes);
-    contexts_[m]->apply_records(recs);
-    if (race_ != nullptr) // tree departure: sync edge leader -> child
-      contexts_[m]->sync_cover(contexts_[parent]->sync_vt_snapshot());
+    const Handoff h = hand_off(parent, m, MsgType::kBarrierDeparture,
+                               vt_wire_size(), contexts_[m]->vt_snapshot());
+    const std::size_t wire = h.bytes + net::kHeaderBytes;
+    coll_stage(parent, sched.level(m), parent, wire);
     bar_departure_time_[m] =
-        bar_departure_time_[parent] + inject_backlog[parent] + cost;
-    inject_backlog[parent] += config_.topology.stage_occupancy_us(
-        config_.cost, sched.level(m), bytes + net::kHeaderBytes);
+        bar_departure_time_[parent] + inject_backlog[parent] + h.cost_us;
+    inject_backlog[parent] +=
+        config_.topology.stage_occupancy_us(config_.cost, sched.level(m), wire);
   }
+}
+
+DsmSystem::Handoff
+DsmSystem::send_records(ContextId from, ContextId to, MsgType type,
+                        std::size_t header_bytes,
+                        const std::vector<IntervalRecord>& recs) {
+  Handoff h;
+  h.bytes = header_bytes + records_wire_size(recs);
+  h.cost_us = notify(from, to, type, h.bytes);
+  const auto notices = records_notice_count(recs);
+  router_->stats(from).add(Counter::kWriteNoticesSent, notices);
+  if (notices > 0) OMSP_TRACE_EVENT(kWriteNoticesSent, from, notices);
+  return h;
+}
+
+DsmSystem::Handoff DsmSystem::hand_off(ContextId from, ContextId to,
+                                       MsgType type, std::size_t header_bytes,
+                                       const VectorTime& known_vt) {
+  const auto recs = contexts_[from]->records_unknown_to(known_vt);
+  const Handoff h = send_records(from, to, type, header_bytes, recs);
+  contexts_[to]->apply_records(recs);
+  // Every hand-off is a sync edge: the receiver's race clock inherits all the
+  // sender sync-knows, even intervals the record stream skipped because the
+  // receiver already held them via data piggybacks.
+  if (race_ != nullptr)
+    contexts_[to]->sync_cover(contexts_[from]->sync_vt_snapshot());
+  return h;
 }
 
 double DsmSystem::grant_lock(LockId l, LockState& st, ContextId to_ctx,
@@ -436,103 +426,41 @@ double DsmSystem::grant_lock(LockId l, LockState& st, ContextId to_ctx,
   // Releaser-side: close the interval so writes made under the lock become
   // notices, then piggyback every record the acquirer lacks on the grant.
   contexts_[from]->close_interval();
-  auto recs = contexts_[from]->records_unknown_to(
-      contexts_[to_ctx]->vt_snapshot());
-  const std::size_t bytes = kLockGrantHeaderBytes + records_wire_size(recs);
-  const double cost = notify(from, to_ctx, MsgType::kLockGrant, bytes);
-  const auto notices = records_notice_count(recs);
-  router_->stats(from).add(Counter::kWriteNoticesSent, notices);
-  if (notices > 0) OMSP_TRACE_EVENT(kWriteNoticesSent, from, notices);
   OMSP_TRACE_EVENT(kLockGrant, from, l, to_ctx);
-  contexts_[to_ctx]->apply_records(recs);
-  // Lock transfer: LRC acquire semantics hand the acquirer everything the
-  // releaser sync-knows (the grant's record stream alone under-delivers when
-  // the acquirer already held some records via data piggybacks).
-  if (race_ != nullptr)
-    contexts_[to_ctx]->sync_cover(contexts_[from]->sync_vt_snapshot());
+  const Handoff h = hand_off(from, to_ctx, MsgType::kLockGrant,
+                             kLockGrantHeaderBytes,
+                             contexts_[to_ctx]->vt_snapshot());
 
   st.held = true;
   st.holder_ctx = to_ctx;
   st.holder_rank = to_rank;
   st.cached_at = to_ctx;
-  return std::max(st.release_time, 0.0) + cost;
+  return std::max(st.release_time, 0.0) + h.cost_us;
 }
 
 void DsmSystem::lock_acquire(LockId l) {
-  const Rank rank = current_rank();
-  const ContextId cid = config_.context_of_rank(rank);
-  auto& clk = *clocks_[rank];
-  clk.sync_cpu();
-  const double acq_t0 = clk.now_us();
-  router_->stats(cid).add(Counter::kLockAcquires);
-
-  std::unique_lock<std::mutex> lk(locks_mutex_);
-  LockState& st = locks_[l];
-  if (!st.initialized) {
-    st.initialized = true;
-    st.cached_at = l % config_.num_contexts(); // static manager owns it first
-  }
-
-  if (!st.held && st.cached_at == cid) {
-    // Intra-node reacquire: hardware coherence, no messages (§3.3.1).
-    st.held = true;
-    st.holder_ctx = cid;
-    st.holder_rank = rank;
-    clk.advance_to(st.release_time);
-    clk.skip_cpu();
-    OMSP_TRACE_EVENT(kLockAcquire, cid, l, 0, std::uint16_t{0},
-                     clk.now_us() - acq_t0);
-    return;
-  }
-
-  router_->stats(cid).add(Counter::kLockRemoteAcquires);
-  const ContextId manager = l % config_.num_contexts();
-  if (cid != manager) {
-    clk.charge(notify(cid, manager, MsgType::kLockRequest,
-                      kLockRequestBytes + vt_wire_size()));
-  }
-  clk.charge(config_.cost.lock_service_us);
-  if (manager != st.cached_at) {
-    // Manager forwards the request to the last holder.
-    clk.charge(notify(manager, st.cached_at, MsgType::kLockForward,
-                      kLockRequestBytes + vt_wire_size()));
-  }
-
-  if (!st.held) {
-    const double grant_time = grant_lock(l, st, cid, rank);
-    clk.advance_to(grant_time);
-    clk.skip_cpu();
-    OMSP_TRACE_EVENT(kLockAcquire, cid, l, 0, trace::kFlagRemote,
-                     clk.now_us() - acq_t0);
-    return;
-  }
-
-  LockWaiter waiter{rank, cid, false, 0.0};
-  st.queue.push_back(&waiter);
-  locks_cv_.wait(lk, [&] { return waiter.granted; });
-  clk.advance_to(waiter.grant_time);
-  clk.skip_cpu();
-  OMSP_TRACE_EVENT(kLockAcquire, cid, l, 0, trace::kFlagRemote,
-                   clk.now_us() - acq_t0);
+  (void)acquire_lock(l, /*blocking=*/true);
 }
 
 bool DsmSystem::lock_try_acquire(LockId l) {
+  return acquire_lock(l, /*blocking=*/false);
+}
+
+bool DsmSystem::acquire_lock(LockId l, bool blocking) {
   const Rank rank = current_rank();
   const ContextId cid = config_.context_of_rank(rank);
   auto& clk = *clocks_[rank];
   clk.sync_cpu();
   const double acq_t0 = clk.now_us();
+  const ContextId manager = l % config_.num_contexts();
 
   std::unique_lock<std::mutex> lk(locks_mutex_);
-  LockState& st = locks_[l];
-  if (!st.initialized) {
-    st.initialized = true;
-    st.cached_at = l % config_.num_contexts();
-  }
-  if (st.held) {
+  const auto [it, fresh] = locks_.try_emplace(l);
+  LockState& st = it->second;
+  if (fresh) st.cached_at = manager; // the static manager owns it first
+  if (st.held && !blocking) {
     // A real implementation asks the manager and gets "busy" back; charge
     // that round trip unless the manager is local.
-    const ContextId manager = l % config_.num_contexts();
     if (cid != manager)
       // One accounted message, two charged hops: the "busy" reply carries no
       // payload worth accounting but the round trip still takes time.
@@ -542,24 +470,31 @@ bool DsmSystem::lock_try_acquire(LockId l) {
     return false;
   }
   router_->stats(cid).add(Counter::kLockAcquires);
-  bool remote = false;
-  if (st.cached_at == cid) {
+
+  const bool remote = st.held || st.cached_at != cid;
+  if (!remote) {
+    // Intra-node reacquire: hardware coherence, no messages (§3.3.1).
     st.held = true;
     st.holder_ctx = cid;
     st.holder_rank = rank;
     clk.advance_to(st.release_time);
   } else {
-    remote = true;
     router_->stats(cid).add(Counter::kLockRemoteAcquires);
-    const ContextId manager = l % config_.num_contexts();
     if (cid != manager)
       clk.charge(notify(cid, manager, MsgType::kLockRequest,
                         kLockRequestBytes + vt_wire_size()));
     clk.charge(config_.cost.lock_service_us);
-    if (manager != st.cached_at)
+    if (manager != st.cached_at) // manager forwards to the last holder
       clk.charge(notify(manager, st.cached_at, MsgType::kLockForward,
                         kLockRequestBytes + vt_wire_size()));
-    clk.advance_to(grant_lock(l, st, cid, rank));
+    if (!st.held) {
+      clk.advance_to(grant_lock(l, st, cid, rank));
+    } else {
+      LockWaiter waiter{rank, cid, false, 0.0};
+      st.queue.push_back(&waiter);
+      locks_cv_.wait(lk, [&] { return waiter.granted; });
+      clk.advance_to(waiter.grant_time);
+    }
   }
   clk.skip_cpu();
   OMSP_TRACE_EVENT(kLockAcquire, cid, l, 0,

@@ -119,7 +119,6 @@ private:
   };
 
   struct LockState {
-    bool initialized = false;
     bool held = false;
     ContextId holder_ctx = 0;
     Rank holder_rank = 0;
@@ -152,6 +151,29 @@ private:
   // Transfer lock `l` (state `st`) from st.cached_at to (to_ctx,to_rank);
   // computes the grant time. locks_mutex_ held.
   double grant_lock(LockId l, LockState& st, ContextId to_ctx, Rank to_rank);
+  // The one acquire path behind lock_acquire (blocking: waits in the
+  // lock's queue while it is held) and lock_try_acquire (returns false at
+  // once while it is held). Returns whether the lock was taken.
+  bool acquire_lock(LockId l, bool blocking);
+
+  // One release message carrying interval records: its modeled one-way cost
+  // and its payload bytes (without the net::kHeaderBytes framing).
+  struct Handoff {
+    double cost_us = 0;
+    std::size_t bytes = 0;
+  };
+  // Send `recs` from -> to as one `type` message of header_bytes plus the
+  // records' wire size, and count its write notices on the sender with the
+  // paired trace event. The records are not applied.
+  Handoff send_records(ContextId from, ContextId to, net::MsgType type,
+                       std::size_t header_bytes,
+                       const std::vector<IntervalRecord>& recs);
+  // One sync edge: send every record `from` holds that known_vt lacks,
+  // apply them on `to`, and (race detector on) merge from's sync clock into
+  // to's. Fork, join, lock grants and every barrier message except the
+  // centralized arrival, whose apply the manager defers, go through here.
+  Handoff hand_off(ContextId from, ContextId to, net::MsgType type,
+                   std::size_t header_bytes, const VectorTime& known_vt);
   // Race-detector sweep at a quiescent point (barrier episode / join): pull
   // the not-yet-flushed twin deltas of every context into the detector, then
   // run the pairwise concurrency check. No-op when the detector is off.
