@@ -380,7 +380,7 @@ BENCHMARK(BM_Mprotect)->Unit(benchmark::kNanosecond);
 void BM_TraceEventDisabled(benchmark::State& state) {
   // No tracer installed: the macro's fast path.
   for (auto _ : state) {
-    OMSP_TRACE_EVENT(kPageFault, 0, 1, 0, trace::kFlagWrite);
+    OMSP_TRACE_EVENT(kDiffFetch, 0, 1, 0, trace::kFlagOffNode);
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -395,7 +395,7 @@ void BM_TraceEventEnabled(benchmark::State& state) {
   trace::Tracer::bind_thread(0);
   std::size_t n = 0;
   for (auto _ : state) {
-    OMSP_TRACE_EVENT(kPageFault, 0, 1, 0, trace::kFlagWrite);
+    OMSP_TRACE_EVENT(kDiffFetch, 0, 1, 0, trace::kFlagOffNode);
     if (++n == (1u << 15)) { // drain periodically, as barriers would
       state.PauseTiming();
       tracer.clear();

@@ -5,7 +5,10 @@
 #     EXPERIMENTS.md, DESIGN.md and ROADMAP.md must exist on disk.
 #  2. Counter-name sync: every `counter_name`-style token referenced in
 #     docs/OBSERVABILITY.md must appear in the names array of
-#     src/common/stats.hpp (a renamed counter must update its docs).
+#     src/common/stats.hpp (a renamed counter must update its docs), and
+#     every name in that array must appear in OBSERVABILITY.md's
+#     "Counter-bearing kinds" table (a new counter cannot ship without the
+#     kind it is folded from).
 #  3. Topology-preset sync: every preset and spec prefix documented in
 #     docs/TOPOLOGY.md must exist in src/sim/topology.hpp, and vice versa —
 #     a new preset cannot ship undocumented.
@@ -46,6 +49,9 @@ print(f"link check: {len(doc_files)} files scanned")
 # ---- 2. OBSERVABILITY.md counter names exist in stats.hpp ------------------
 stats = open("src/common/stats.hpp", encoding="utf-8").read()
 known = set(re.findall(r'"([a-z][a-z0-9_]*)"', stats))
+names_array = re.search(r"names = \{(.*?)\};", stats, re.S)
+counter_names = re.findall(r'"([a-z][a-z0-9_]*)"',
+                           names_array.group(1) if names_array else "")
 # OBSERVABILITY.md also names trace event kinds (src/trace/event.hpp), which
 # share the snake_case shape; those are code identifiers too, so accept them.
 known |= set(re.findall(r'"([a-z][a-z0-9_]*)"',
@@ -63,7 +69,21 @@ counterish = {t for t in referenced if t in known or any(
 for t in sorted(counterish - known):
     failures.append(f"docs/OBSERVABILITY.md: counter '{t}' not in "
                     "src/common/stats.hpp names[]")
-print(f"counter sync: {len(counterish & known)} documented counters verified")
+# The table's rows open with a backticked kind; its last cell lists the
+# counters that kind reconstructs.
+table = re.search(r"^Counter-bearing kinds.*\n\s*((?:\|.*\n)+)", obs, re.M)
+table_counters = set()
+for row in (table.group(1) if table else "").splitlines():
+    cells = [c.strip() for c in row.strip().strip("|").split("|")]
+    if cells and cells[0].startswith("`"):
+        table_counters |= set(re.findall(r"[a-z][a-z0-9_]*", cells[-1]))
+for name in counter_names:
+    if name not in table_counters:
+        failures.append(f"src/common/stats.hpp: counter '{name}' missing from "
+                        "docs/OBSERVABILITY.md 'Counter-bearing kinds' table")
+print(f"counter sync: {len(counterish & known)} documented counters verified, "
+      f"{len(set(counter_names) & table_counters)}/{len(counter_names)} "
+      "counters in the kind table")
 
 # ---- 3. TOPOLOGY.md presets match topology.hpp -----------------------------
 topo_hpp = open("src/sim/topology.hpp", encoding="utf-8").read()

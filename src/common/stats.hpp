@@ -1,19 +1,16 @@
 // Statistics counters for the Table 2 / Table 3 measurements.
 //
 // Every protocol-visible event (message sent, bytes moved, mprotect issued,
-// SIGSEGV taken, twin made, diff created/applied, ...) increments a named
-// counter on the StatsBoard of the context where it happened. Counters are
-// relaxed atomics: the totals are read only at quiescent points (after joins
-// and barriers — the same points where trace rings are drained), so no
-// ordering is needed, only loss-free increments from concurrent threads of a
-// node.
-//
-// Cross-check invariant: every add() on a protocol path is paired with an
-// OMSP_TRACE_EVENT emission at the same site, so a lossless trace folds back
-// into an identical StatsSnapshot (trace::reconstruct_counters). Adding or
-// moving a counter increment without its event (or vice versa) breaks
-// `omsp-trace check` and the trace integration tests. DsmSystem::reset_stats
-// clears both layers together to keep their windows aligned.
+// SIGSEGV taken, twin made, diff created/applied, ...) increments named
+// counters on the StatsBoard of the context where it happened. Counters are
+// folded from events by trace::record (trace/tracer.hpp), the only code that
+// can add to a board, so a lossless trace folds back into an identical
+// StatsSnapshot (trace::reconstruct_counters). Counters are relaxed atomics:
+// the totals are read only at quiescent points (after joins and barriers —
+// the same points where trace rings are drained), so no ordering is needed,
+// only loss-free increments from concurrent threads of a node.
+// DsmSystem::reset_stats clears both layers together to keep their windows
+// aligned.
 #pragma once
 
 #include <array>
@@ -21,7 +18,20 @@
 #include <cstdint>
 #include <string>
 
+#include "common/types.hpp"
+
 namespace omsp {
+
+class StatsBoard;
+
+// The accounting funnel (trace/tracer.hpp), declared here so StatsBoard can
+// make it the only code that adds to a board.
+namespace trace {
+enum class EventKind : std::uint16_t;
+inline void record(StatsBoard& board, EventKind kind, ContextId ctx,
+                   std::uint64_t arg0, std::uint64_t arg1, std::uint16_t flags,
+                   double dur_us);
+} // namespace trace
 
 // The full set of countable events. Kept as an enum (not string keys) so the
 // fault path is an indexed add.
@@ -85,11 +95,6 @@ public:
     for (auto& c : counters_) c.store(0, std::memory_order_relaxed);
   }
 
-  void add(Counter c, std::uint64_t n = 1) {
-    counters_[static_cast<std::size_t>(c)].fetch_add(n,
-                                                     std::memory_order_relaxed);
-  }
-
   std::uint64_t get(Counter c) const {
     return counters_[static_cast<std::size_t>(c)].load(
         std::memory_order_relaxed);
@@ -108,6 +113,15 @@ public:
   }
 
 private:
+  friend void trace::record(StatsBoard&, trace::EventKind, ContextId,
+                            std::uint64_t, std::uint64_t, std::uint16_t,
+                            double);
+
+  void add(Counter c, std::uint64_t n) {
+    counters_[static_cast<std::size_t>(c)].fetch_add(n,
+                                                     std::memory_order_relaxed);
+  }
+
   std::array<std::atomic<std::uint64_t>,
              static_cast<std::size_t>(Counter::kCount)>
       counters_;

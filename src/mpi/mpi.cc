@@ -260,12 +260,11 @@ void Comm::coll_send(int dst, int tag, const void* data, std::size_t bytes,
                                                 level, wire));
   send(dst, tag, data, bytes);
   if (tree_mode()) {
-    auto& stats = world_.router_->stats(static_cast<ContextId>(rank_));
-    stats.add(Counter::kCollStages);
-    stats.add(Counter::kCollBytes, wire);
-    OMSP_TRACE_EVENT(kCollStage, static_cast<ContextId>(rank_), wire,
-                     (static_cast<std::uint64_t>(level) << 32) |
-                         static_cast<std::uint64_t>(leader));
+    const auto me = static_cast<ContextId>(rank_);
+    trace::record(world_.router_->stats(me), trace::EventKind::kCollStage, me,
+                  wire,
+                  (static_cast<std::uint64_t>(level) << 32) |
+                      static_cast<std::uint64_t>(leader));
   }
 }
 

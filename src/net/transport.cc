@@ -104,9 +104,8 @@ double InlineTransport::contention_us(const Envelope& env,
       if (stage_waits_.size() <= stage) stage_waits_.resize(stage + 1);
       stage_waits_[stage].waits += 1;
       stage_waits_[stage].wait_us += wait;
-      router_.stats(env.src).add(Counter::kContentionStageWaits);
-      OMSP_TRACE_EVENT(kContentionWait, env.src, stage, seg, env.trace_flags,
-                       wait);
+      trace::record(router_.stats(env.src), trace::EventKind::kContentionWait,
+                    env.src, stage, seg, env.trace_flags, wait);
     }
     // t < w.start: this send modeled-precedes the current busy period — it
     // would have transmitted before the period began, so no queueing charge
@@ -184,7 +183,13 @@ QueuedTransport::QueuedTransport(std::unique_ptr<Transport> inner,
 
 QueuedTransport::~QueuedTransport() {
   stop_.store(true, std::memory_order_release);
-  for (auto& w : workers_) w->cv.notify_all();
+  for (auto& w : workers_) {
+    // Pass through the worker's mutex before notifying: a worker that found
+    // stop_ false and has not yet blocked holds it, and would otherwise miss
+    // this notify and never wake to be joined.
+    { std::lock_guard<std::mutex> lk(w->mutex); }
+    w->cv.notify_all();
+  }
   for (auto& w : workers_)
     if (w->thread.joinable()) w->thread.join();
 }
@@ -416,7 +421,6 @@ PerturbingTransport::draw_roundtrip(ContextId src, ContextId dst,
 double PerturbingTransport::drop_copies(const Envelope& e, std::uint32_t count,
                                         std::uint32_t* attempt,
                                         sim::VirtualClock* clock) {
-  const auto& model = router_.model();
   double rto_sum = 0;
   for (std::uint32_t i = 0; i < count; ++i, ++*attempt) {
     Envelope lost = e;
@@ -424,15 +428,27 @@ double PerturbingTransport::drop_copies(const Envelope& e, std::uint32_t count,
       lost.trace_flags = static_cast<std::uint16_t>(lost.trace_flags |
                                                     trace::kFlagPerturbed);
     (void)inner_->notify(lost);
-    router_.account_loss(lost);
-    const double rto = model.retransmit_timeout_us(*attempt);
-    router_.account_retransmit(lost, *attempt + 1, rto);
+    const double rto = record_loss(lost, lost, *attempt);
     if (clock != nullptr) clock->charge(rto);
     rto_sum += rto;
-    std::lock_guard lock(mutex_);
-    stats_.rto_wait_us += rto;
   }
   return rto_sum;
+}
+
+double PerturbingTransport::record_loss(const Envelope& lost,
+                                        const Envelope& retry,
+                                        std::uint32_t attempt) {
+  trace::record(router_.stats(lost.src), trace::EventKind::kMessageLost,
+                lost.src, lost.payload_size() + kHeaderBytes,
+                message_trace_arg1(lost.type, lost.dst), lost.trace_flags);
+  const double rto = router_.model().retransmit_timeout_us(attempt);
+  trace::record(router_.stats(retry.src), trace::EventKind::kRetransmit,
+                retry.src, attempt + 1,
+                message_trace_arg1(retry.type, retry.dst), retry.trace_flags,
+                rto);
+  std::lock_guard lock(mutex_);
+  stats_.rto_wait_us += rto;
+  return rto;
 }
 
 std::vector<std::uint8_t> PerturbingTransport::call(const Envelope& env) {
@@ -446,7 +462,6 @@ std::vector<std::uint8_t> PerturbingTransport::call(const Envelope& env) {
     e.seq = seq;
     e.wire_extra = kSeqAckBytes;
     auto* clock = sim::VirtualClock::current();
-    const auto& model = router_.model();
 
     // Copies whose REQUEST was dropped in flight: the handler never runs,
     // the caller blocks out the modeled RTO and retransmits.
@@ -466,12 +481,8 @@ std::vector<std::uint8_t> PerturbingTransport::call(const Envelope& env) {
       lost_reply.dst = e.src;
       lost_reply.type = e.type;
       lost_reply.accounted_bytes = r.size();
-      router_.account_loss(lost_reply);
-      const double rto = model.retransmit_timeout_us(attempt);
-      router_.account_retransmit(dup, attempt + 1, rto);
+      const double rto = record_loss(lost_reply, dup, attempt);
       if (clock != nullptr) clock->charge(rto);
-      std::lock_guard lock(mutex_);
-      stats_.rto_wait_us += rto;
     }
     if (!sched.delivered)
       throw TransportError(env.src, env.dst, env.type, sched.attempts);
@@ -506,7 +517,6 @@ PendingReply PerturbingTransport::call_async(const Envelope& env) {
     const LossSchedule sched = draw_roundtrip(env.src, env.dst, &seq);
     e.seq = seq;
     e.wire_extra = kSeqAckBytes;
-    const auto& model = router_.model();
     std::uint32_t attempt = 0;
 
     // Request copies dropped in flight: accounted on the caller now; the
@@ -527,16 +537,11 @@ PendingReply PerturbingTransport::call_async(const Envelope& env) {
       lost_reply.src = e.dst;
       lost_reply.dst = e.src;
       lost_reply.type = e.type;
-      router_.account_loss(lost_reply);
-      const double rto = model.retransmit_timeout_us(attempt);
       Envelope dup = e;
       dup.trace_flags = static_cast<std::uint16_t>(dup.trace_flags |
                                                    trace::kFlagPerturbed);
-      router_.account_retransmit(dup, attempt + 1, rto);
-      penalty += rto;
+      penalty += record_loss(lost_reply, dup, attempt);
       riders.push_back({dup, penalty});
-      std::lock_guard lock(mutex_);
-      stats_.rto_wait_us += rto;
     }
   }
   if (d.duplicate) {
@@ -589,7 +594,6 @@ Delivery PerturbingTransport::notify_ex(const Envelope& env) {
   Envelope e = env;
   e.seq = seq;
   e.wire_extra = kSeqAckBytes;
-  const auto& model = router_.model();
   std::uint32_t attempt = 0;
 
   // Notice copies dropped in flight: the content arrives only once a copy
@@ -615,7 +619,8 @@ Delivery PerturbingTransport::notify_ex(const Envelope& env) {
     ack.ack = seq;
     ack.wire_extra = kSeqAckBytes;
     (void)inner_->notify(ack);
-    router_.account_ack(e.dst, e, seq);
+    trace::record(router_.stats(e.dst), trace::EventKind::kAck, e.dst, seq,
+                  message_trace_arg1(e.type, e.dst), e.trace_flags);
     return ack;
   };
 
@@ -624,17 +629,14 @@ Delivery PerturbingTransport::notify_ex(const Envelope& env) {
   // the duplicate (the content is NOT re-applied) and re-acks.
   for (std::uint32_t i = 0; i < sched.reply_lost; ++i, ++attempt) {
     const Envelope ack = send_ack();
-    router_.account_loss(ack);
-    const double rto = model.retransmit_timeout_us(attempt);
     Envelope dup = e;
     dup.trace_flags =
         static_cast<std::uint16_t>(dup.trace_flags | trace::kFlagPerturbed);
-    router_.account_retransmit(dup, attempt + 1, rto);
+    (void)record_loss(ack, dup, attempt);
     out.duplicate = true;
     out.dup_cost_us += inner_->notify(dup);
     std::lock_guard lock(mutex_);
     ++stats_.dups_suppressed;
-    stats_.rto_wait_us += rto;
   }
   (void)send_ack(); // the ack that finally confirms delivery
 
@@ -651,16 +653,8 @@ Delivery PerturbingTransport::notify_ex(const Envelope& env) {
 }
 
 PerturbStats PerturbingTransport::stats() const {
-  PerturbStats s;
-  {
-    std::lock_guard lock(mutex_);
-    s = stats_;
-  }
-  const StatsSnapshot live = router_.snapshot();
-  s.losses = live[Counter::kMsgsLost];
-  s.retransmits = live[Counter::kRetransmits];
-  s.acks = live[Counter::kAcksSent];
-  return s;
+  std::lock_guard lock(mutex_);
+  return stats_;
 }
 
 void PerturbingTransport::reset_stats() {

@@ -449,21 +449,17 @@ struct PerturbStats {
   std::uint64_t duplicates = 0; // injected re-deliveries
   std::uint64_t reorders = 0;   // held-back one-way notifications
   double jitter_us = 0;         // total injected latency (jitter + hold-back)
-  // Reliable-delivery layer. The first three are not tallied here: stats()
-  // reads them from the Router's kMsgsLost, kRetransmits and kAcksSent,
-  // which count (and trace) every loss, retransmission and ack.
-  std::uint64_t losses = 0;         // one-way deliveries dropped
-  std::uint64_t retransmits = 0;    // RTO expiries that reissued a copy
-  std::uint64_t acks = 0;           // explicit acks on notice channels
+  // Reliable-delivery layer. Losses, retransmissions and acks are counted
+  // on the Router's boards (kMsgsLost, kRetransmits, kAcksSent).
   std::uint64_t dups_suppressed = 0; // notice copies deduped by (channel,seq)
   double rto_wait_us = 0;           // total modeled RTO latency injected
 };
 
 class PerturbingTransport final : public Transport {
 public:
-  // `router` is the accounting funnel for the reliability layer (lost-copy
-  // wire accounting, retransmit/loss/ack counters + events) and supplies the
-  // RTO model and the channel count for the per-link RNG streams.
+  // `router` holds the boards the reliability layer records its losses,
+  // retransmissions and acks on, and supplies the RTO model and the channel
+  // count for the per-link RNG streams.
   PerturbingTransport(std::unique_ptr<Transport> inner, Router& router,
                       PerturbOptions opts);
 
@@ -524,6 +520,11 @@ private:
   // the copy times out.
   double drop_copies(const Envelope& e, std::uint32_t count,
                      std::uint32_t* attempt, sim::VirtualClock* clock);
+  // Record that copy `lost` of an exchange was dropped and that its sender's
+  // RTO expired, issuing `retry` as 0-based copy `attempt` + 1. Returns the
+  // modeled RTO, which it also adds to PerturbStats::rto_wait_us.
+  double record_loss(const Envelope& lost, const Envelope& retry,
+                     std::uint32_t attempt);
 
   std::unique_ptr<Transport> inner_;
   Router& router_;

@@ -34,7 +34,7 @@ void chaos_point(unsigned permille) {
 void (*testing_home_apply_hook)(ContextId, PageId) = nullptr;
 
 DsmContext::DsmContext(ContextId id, const Config& config, net::Router& router)
-    : config_(config), id_(id), router_(router), stats_(&router.stats(id)),
+    : config_(config), id_(id), router_(router), stats_(router.stats(id)),
       heap_(config.heap_bytes, config.use_alias_mapping(), id, stats_,
             &config.cost),
       per_page_locks_(config.use_per_page_fault_lock()) {
@@ -71,8 +71,6 @@ void DsmContext::on_fault(void* addr, bool is_write) {
     // clock sync as if it were application compute; take it back out.
     rs.clock()->discount_cpu(FaultRegistry::fault_trap_overhead_us());
   }
-  stats_->add(Counter::kPageFaults);
-  stats_->add(is_write ? Counter::kWriteFaults : Counter::kReadFaults);
   const double fault_t0 =
       rs.clock() != nullptr ? rs.clock()->now_us() : 0;
 
@@ -113,9 +111,9 @@ void DsmContext::on_fault(void* addr, bool is_write) {
     // Spurious: another thread already installed sufficient access.
     break;
   }
-  OMSP_TRACE_EVENT(kPageFault, id_, p, 0,
-                   is_write ? trace::kFlagWrite : std::uint16_t{0},
-                   rs.clock() != nullptr ? rs.clock()->now_us() - fault_t0 : 0);
+  trace::record(stats_, trace::EventKind::kPageFault, id_, p, 0,
+                is_write ? trace::kFlagWrite : std::uint16_t{0},
+                rs.clock() != nullptr ? rs.clock()->now_us() - fault_t0 : 0);
 }
 
 void DsmContext::install_access_locked(PageId p, bool is_write) {
@@ -156,8 +154,7 @@ void DsmContext::make_twin(PageId p) {
     std::lock_guard<std::mutex> tl(table_mutex_);
     meta.race_collected_seq = last_listed_[p];
   }
-  stats_->add(Counter::kTwins);
-  OMSP_TRACE_EVENT(kTwinCreate, id_, p);
+  trace::record(stats_, trace::EventKind::kTwinCreate, id_, p);
   if (auto* clock = sim::VirtualClock::current(); clock != nullptr)
     clock->charge(config_.cost.twin_us);
   std::lock_guard<std::mutex> dl(dirty_mutex_);
@@ -285,12 +282,12 @@ void DsmContext::fetch_and_apply(PageId p, std::unique_lock<std::mutex>& lock) {
           if (clock != nullptr) clock->advance_to(ready);
           const double residual = clock != nullptr ? clock->now_us() - t0 : 0;
           if (maxseq >= nd.want) {
-            stats_->add(Counter::kPrefetchHits);
-            OMSP_TRACE_EVENT(kPrefetchHit, id_, p, used_bytes,
-                             router_.same_node(id_, nd.creator)
-                                 ? std::uint16_t{0}
-                                 : trace::kFlagOffNode,
-                             residual);
+            trace::record(stats_, trace::EventKind::kPrefetchHit, id_, p,
+                          used_bytes,
+                          router_.same_node(id_, nd.creator)
+                              ? std::uint16_t{0}
+                              : trace::kFlagOffNode,
+                          residual);
             it = needs.erase(it);
           } else {
             nd.have = std::max(nd.have, maxseq);
@@ -383,8 +380,8 @@ void DsmContext::fetch_and_apply(PageId p, std::unique_lock<std::mutex>& lock) {
       // The race baseline absorbs the same remote bytes: they are not this
       // context's writes and must never surface in its collection delta.
       if (meta.race_twin != nullptr) apply_diff(g.view, meta.race_twin.get());
-      stats_->add(Counter::kDiffsApplied);
-      OMSP_TRACE_EVENT(kDiffApply, id_, p, g.view.size());
+      trace::record(stats_, trace::EventKind::kDiffApply, id_, p,
+                    g.view.size());
       if (clock != nullptr)
         clock->charge(config_.cost.diff_apply_base_us +
                       config_.cost.diff_byte_us *
@@ -406,8 +403,7 @@ void DsmContext::handle(ContextId src, net::MsgType type, ByteReader& request,
     const auto bytes = request.view_bytes(request.get<std::uint32_t>());
     std::lock_guard<std::mutex> pl(page_lock(p));
     apply_bytes_at_home(p, bytes.data(), bytes.size(), /*full_page=*/false);
-    stats_->add(Counter::kDiffsApplied);
-    OMSP_TRACE_EVENT(kDiffApply, id_, p, bytes.size());
+    trace::record(stats_, trace::EventKind::kDiffApply, id_, p, bytes.size());
     return;
   }
   if (type == net::MsgType::kPageRequest) {
@@ -418,8 +414,7 @@ void DsmContext::handle(ContextId src, net::MsgType type, ByteReader& request,
     std::uint8_t snapshot[kPageSize];
     heap_.snapshot_page(p, snapshot);
     reply.put_span<std::uint8_t>({snapshot, kPageSize});
-    stats_->add(Counter::kFullPageFetches);
-    OMSP_TRACE_EVENT(kFullPageFetch, id_, p, kPageSize);
+    trace::record(stats_, trace::EventKind::kFullPageFetch, id_, p, kPageSize);
     return;
   }
   if (type == net::MsgType::kDiffRequestBatch) {
@@ -699,9 +694,7 @@ DiffBytes DsmContext::scan_twin_locked(PageId p, std::uint8_t* snapshot) {
 }
 
 void DsmContext::count_diff_created(PageId p, std::size_t bytes) {
-  stats_->add(Counter::kDiffsCreated);
-  stats_->add(Counter::kDiffBytesCreated, bytes);
-  OMSP_TRACE_EVENT(kDiffCreate, id_, p, bytes);
+  trace::record(stats_, trace::EventKind::kDiffCreate, id_, p, bytes);
   if (auto* clock = sim::VirtualClock::current(); clock != nullptr)
     clock->charge(config_.cost.diff_create_base_us +
                   config_.cost.diff_byte_us * kPageSize);
@@ -742,8 +735,7 @@ void DsmContext::flush_page_diff_locked(PageId p) {
       table_[id_].push_back(IntervalInfo{vt_, {p}});
       last_listed_[p] = tag;
       sync_vt_[id_] = tag; // own intervals are always sync-known to self
-      stats_->add(Counter::kIntervals);
-      OMSP_TRACE_EVENT(kIntervalClose, id_, tag, 1);
+      trace::record(stats_, trace::EventKind::kIntervalClose, id_, tag, 1);
       if (race_ != nullptr) {
         minted = true;
         minted_vt = sync_vt_;
@@ -841,8 +833,8 @@ std::optional<IntervalRecord> DsmContext::close_interval() {
       close_svt = sync_vt_;
     }
   }
-  stats_->add(Counter::kIntervals);
-  OMSP_TRACE_EVENT(kIntervalClose, id_, rec.seq, rec.pages.size());
+  trace::record(stats_, trace::EventKind::kIntervalClose, id_, rec.seq,
+                rec.pages.size());
 
   if (race_ != nullptr) {
     // Collect each listed page's delta-since-last-collection NOW and hand it
@@ -977,8 +969,8 @@ void DsmContext::apply_records(const std::vector<IntervalRecord>& records,
       OMSP_CHECK_MSG(vt_[c] <= table_base_[c] + table_[c].size(),
                      "apply_records left an uncovered vector-time claim");
   }
-  stats_->add(Counter::kWriteNoticesRecv, notices);
-  if (notices > 0) OMSP_TRACE_EVENT(kWriteNoticesRecv, id_, notices);
+  if (notices > 0)
+    trace::record(stats_, trace::EventKind::kWriteNoticesRecv, id_, notices);
 
   std::sort(to_invalidate.begin(), to_invalidate.end());
   to_invalidate.erase(std::unique(to_invalidate.begin(), to_invalidate.end()),
@@ -990,8 +982,7 @@ void DsmContext::apply_records(const std::vector<IntervalRecord>& records,
       meta.state = PageState::kInvalid;
       meta.fresh_invalidate = true;
       set_prot(p, Protection::kNone);
-      stats_->add(Counter::kPageInvalidations);
-      OMSP_TRACE_EVENT(kInvalidate, id_, p);
+      trace::record(stats_, trace::EventKind::kInvalidate, id_, p);
     }
   }
 }
@@ -1182,9 +1173,8 @@ void DsmContext::start_prefetch_round() {
     batch.pages = list;
     batch.reply = router_.transport().call_async(net::Envelope::request(
         id_, c, net::MsgType::kDiffRequestBatch, req));
-    stats_->add(Counter::kPrefetchBatches);
-    stats_->add(Counter::kPrefetchPagesFetched, list.size());
-    OMSP_TRACE_EVENT(kPrefetchBatch, id_, c, list.size());
+    trace::record(stats_, trace::EventKind::kPrefetchBatch, id_, c,
+                  list.size());
     std::lock_guard<std::mutex> pm(prefetch_mutex_);
     prefetch_inflight_.push_back(std::move(batch));
   }

@@ -27,14 +27,12 @@
 //   * Diffs gathered across all rounds of one fetch are applied in a single
 //     globally vt-sorted pass (a per-round apply could put an older diff on
 //     top of a newer one).
-//   * Observability: every StatsBoard increment on these paths is paired
-//     with an OMSP_TRACE_EVENT at the same site, and `omsp-trace check`
-//     asserts a lossless trace reconstructs every counter exactly — so a
-//     protocol change that forgets either half of the pair fails the trace
-//     integration tests rather than silently skewing Tables 2-3. Each pair
-//     lives in one function per protocol step: count_diff_created for diff
-//     creation, apply_records for received notices, and
-//     DsmSystem::send_records for the notices every sync edge sends.
+//   * Observability: counters are folded from events by trace::record, one
+//     call per counted fact, so a lossless trace reconstructs every counter
+//     exactly (`omsp-trace check`). Each protocol step records in one
+//     function: count_diff_created for diff creation, apply_records for
+//     received notices, and DsmSystem::send_records for the notices every
+//     sync edge sends.
 //
 // Locking discipline (deadlock-free by construction):
 //   page_lock(p)  — guards one page's state/twin/diffs. Taken by the fault
@@ -98,7 +96,7 @@ public:
 
   ContextId id() const { return id_; }
   HeapMapping& heap() { return heap_; }
-  StatsBoard& stats() { return *stats_; }
+  StatsBoard& stats() { return stats_; }
   std::size_t num_pages() const { return heap_.pages(); }
 
   // --- access-miss handling (FaultTarget) ----------------------------------
@@ -356,7 +354,7 @@ private:
   ContextId id_;
   std::uint32_t nc_ = 0; // cached num_contexts
   net::Router& router_;
-  StatsBoard* stats_;
+  StatsBoard& stats_;
   race::Detector* race_ = nullptr;
   HeapMapping heap_;
 

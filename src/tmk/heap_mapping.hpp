@@ -51,7 +51,7 @@ public:
   // all-zero contents are trivially coherent across contexts. `owner` is the
   // context the mprotect counters and trace events are attributed to.
   HeapMapping(std::size_t bytes, bool alias, ContextId owner,
-              StatsBoard* stats, const sim::CostModel* cost);
+              StatsBoard& stats, const sim::CostModel* cost);
   ~HeapMapping();
 
   HeapMapping(const HeapMapping&) = delete;
@@ -114,7 +114,7 @@ private:
   std::uint8_t* runtime_base_ = nullptr;
   bool modeled_alias_ = false;
   ContextId owner_;
-  StatsBoard* stats_;
+  StatsBoard& stats_;
   const sim::CostModel* cost_;
 };
 

@@ -257,8 +257,8 @@ void DsmSystem::barrier() {
                                    std::make_move_iterator(recs.begin()),
                                    std::make_move_iterator(recs.end()));
     }
-    router_->stats(cid).add(Counter::kBarriers);
-    OMSP_TRACE_EVENT(kBarrierArrive, cid, mygen);
+    trace::record(router_->stats(cid), trace::EventKind::kBarrierArrive, cid,
+                  mygen);
   }
   bar_max_arrival_ = std::max(bar_max_arrival_, clk.now_us() + arrival_cost);
   if (tree)
@@ -329,10 +329,8 @@ void DsmSystem::maybe_race_sweep() {
 
 void DsmSystem::coll_stage(ContextId sender, std::uint32_t level,
                            ContextId leader, std::size_t wire_bytes) {
-  router_->stats(sender).add(Counter::kCollStages);
-  router_->stats(sender).add(Counter::kCollBytes, wire_bytes);
-  OMSP_TRACE_EVENT(kCollStage, sender, wire_bytes,
-                   (static_cast<std::uint64_t>(level) << 32) | leader);
+  trace::record(router_->stats(sender), trace::EventKind::kCollStage, sender,
+                wire_bytes, (static_cast<std::uint64_t>(level) << 32) | leader);
 }
 
 void DsmSystem::tree_barrier_episode() {
@@ -400,8 +398,9 @@ DsmSystem::send_records(ContextId from, ContextId to, MsgType type,
   h.bytes = header_bytes + records_wire_size(recs);
   h.cost_us = notify(from, to, type, h.bytes);
   const auto notices = records_notice_count(recs);
-  router_->stats(from).add(Counter::kWriteNoticesSent, notices);
-  if (notices > 0) OMSP_TRACE_EVENT(kWriteNoticesSent, from, notices);
+  if (notices > 0)
+    trace::record(router_->stats(from), trace::EventKind::kWriteNoticesSent,
+                  from, notices);
   return h;
 }
 
@@ -469,8 +468,6 @@ bool DsmSystem::acquire_lock(LockId l, bool blocking) {
     clk.skip_cpu();
     return false;
   }
-  router_->stats(cid).add(Counter::kLockAcquires);
-
   const bool remote = st.held || st.cached_at != cid;
   if (!remote) {
     // Intra-node reacquire: hardware coherence, no messages (§3.3.1).
@@ -479,7 +476,6 @@ bool DsmSystem::acquire_lock(LockId l, bool blocking) {
     st.holder_rank = rank;
     clk.advance_to(st.release_time);
   } else {
-    router_->stats(cid).add(Counter::kLockRemoteAcquires);
     if (cid != manager)
       clk.charge(notify(cid, manager, MsgType::kLockRequest,
                         kLockRequestBytes + vt_wire_size()));
@@ -497,9 +493,9 @@ bool DsmSystem::acquire_lock(LockId l, bool blocking) {
     }
   }
   clk.skip_cpu();
-  OMSP_TRACE_EVENT(kLockAcquire, cid, l, 0,
-                   remote ? trace::kFlagRemote : std::uint16_t{0},
-                   clk.now_us() - acq_t0);
+  trace::record(router_->stats(cid), trace::EventKind::kLockAcquire, cid, l, 0,
+                remote ? trace::kFlagRemote : std::uint16_t{0},
+                clk.now_us() - acq_t0);
   return true;
 }
 

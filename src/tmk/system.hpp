@@ -163,8 +163,8 @@ private:
     std::size_t bytes = 0;
   };
   // Send `recs` from -> to as one `type` message of header_bytes plus the
-  // records' wire size, and count its write notices on the sender with the
-  // paired trace event. The records are not applied.
+  // records' wire size, and record its write notices on the sender. The
+  // records are not applied.
   Handoff send_records(ContextId from, ContextId to, net::MsgType type,
                        std::size_t header_bytes,
                        const std::vector<IntervalRecord>& recs);

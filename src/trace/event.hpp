@@ -2,11 +2,10 @@
 //
 // One Event is a fixed-size, trivially-copyable record of a single protocol
 // action, stamped with the emitting thread's virtual clock and the context it
-// happened in. The taxonomy deliberately mirrors the StatsBoard counters:
-// every counter increment in the runtime has a corresponding event emission
-// at the same site, so a trace can be folded back into a StatsSnapshot and
-// compared against the live counters — a built-in consistency audit of the
-// stats layer (see reconstruct_counters in sinks.hpp and `omsp-trace check`).
+// happened in. Counters are folded from events by trace::record: fold() below
+// is the one kind→counter rule, applied to the live StatsBoard when an event
+// is recorded and to a recorded stream by reconstruct_counters, so a lossless
+// trace reconstructs every counter exactly (`omsp-trace check`).
 //
 // Field use per kind is documented on the enum; unused fields are zero.
 #pragma once
@@ -15,12 +14,13 @@
 #include <cstdint>
 
 #include "common/serialize.hpp"
+#include "common/stats.hpp"
 #include "common/types.hpp"
 
 namespace omsp::trace {
 
 enum class EventKind : std::uint16_t {
-  // Counter-bearing events (each maps onto one or more StatsBoard counters).
+  // Counter-bearing events (fold() below maps each onto its counters).
   kMessage = 0,      // arg0 = wire bytes (payload + header),
                      // arg1 = (msg type << 32) | dst ctx (net/message.hpp);
                      // kFlagOffNode when it crossed a physical node,
@@ -31,7 +31,8 @@ enum class EventKind : std::uint16_t {
   kDiffApply,        // arg0 = page, arg1 = encoded diff bytes
   kMprotect,         // arg0 = page, arg1 = new protection (0/1/2 = N/R/RW)
   kLockAcquire,      // arg0 = lock id; kFlagRemote; dur = acquire wait vtime
-  kLockGrant,        // arg0 = lock id, arg1 = acquiring ctx; emitted by releaser
+  kLockGrant,        // analysis-only: arg0 = lock id, arg1 = acquiring ctx;
+                     // emitted by the releaser
   kBarrierArrive,    // one per context per episode, arg0 = generation
   kIntervalClose,    // arg0 = interval seq, arg1 = pages listed (write notices)
   kWriteNoticesSent, // arg0 = notice count piggybacked on one release message
@@ -53,38 +54,34 @@ enum class EventKind : std::uint16_t {
                      // reply completion on the faulting thread's clock)
   kPrefetchBatch,    // counter-bearing: one kDiffRequestBatch issued at
                      // barrier departure; arg0 = creator ctx, arg1 = pages
-                     // (kPrefetchBatches += 1, kPrefetchPagesFetched += arg1)
   kPrefetchHit,      // counter-bearing: a fault-time creator need satisfied
                      // entirely from prefetched diffs; arg0 = page,
                      // arg1 = buffered bytes used; dur = residual stall
                      // (0 = batch completed before first touch)
   kMessageLost,      // counter-bearing: one-way delivery dropped by the lossy
                      // transport; arg0 = wire bytes, arg1 = (type<<32)|dst,
-                     // ctx = the sender of the dropped copy
-                     // (kMsgsLost += 1). The lost copy's kMessage event was
-                     // emitted by account() — it went on the wire.
+                     // ctx = the sender of the dropped copy. The lost
+                     // copy's kMessage event was recorded by account() — it
+                     // went on the wire.
   kRetransmit,       // counter-bearing: a retransmission issued after a
                      // modeled RTO expiry; arg0 = attempt number (1-based),
                      // arg1 = (type<<32)|dst; dur = the RTO charged
-                     // (kRetransmits += 1)
   kAck,              // counter-bearing: explicit ack for a reliable notice
                      // channel; arg0 = acked seq, arg1 = (type<<32)|dst of
-                     // the acked notice; ctx = the acking side
-                     // (kAcksSent += 1; the ack's own kMessage event is
-                     // emitted by account() like any wire message)
+                     // the acked notice; ctx = the acking side (the ack's
+                     // own kMessage event is recorded by account() like any
+                     // wire message)
   kCollStage,        // counter-bearing: one edge of a hierarchical collective
                      // schedule traversed (tree mode only); arg0 = wire
                      // bytes, arg1 = (level<<32)|leader where level is the
                      // topology stage the edge crosses and leader is the
                      // receiving (up pass) or sending (down pass) leader;
-                     // ctx = the sender (kCollStages += 1,
-                     // kCollBytes += arg0). The message's own kMessage event
-                     // is emitted by account() like any wire message.
+                     // ctx = the sender. The message's own kMessage event
+                     // is recorded by account() like any wire message.
   kRaceCheck,        // counter-bearing: one detector sweep that ran at least
                      // one pairwise concurrency check (OMSP_RACE); arg0 =
                      // pair checks performed, arg1 = write entries swept;
                      // ctx = 0 (the sweep runs at a quiescent point)
-                     // (kRaceChecks += arg0)
   kRaceDetected,     // counter-bearing: one write-write race report; arg0 =
                      // (page << 32) | (lo << 16) | hi — the overlapping byte
                      // range [lo, hi) within the page; arg1 = (ctx_a << 48) |
@@ -92,13 +89,11 @@ enum class EventKind : std::uint16_t {
                      // (seq_b & 0xffff) — the racing writers and their
                      // interval seqs (16-bit truncated on the wire; full
                      // values live in race::Detector::reports()); ctx = 0
-                     // (kRacesDetected += 1)
   kContentionWait,   // counter-bearing: one message queued behind the busy
                      // window of one link segment along its path; arg0 = the
                      // topology stage of the segment, arg1 = the packed
                      // segment key (sim::Topology::path_segments); dur = the
                      // modeled wait charged; ctx = the sender
-                     // (kContentionStageWaits += 1)
   kCount
 };
 
@@ -108,6 +103,77 @@ inline constexpr std::uint16_t kFlagOffNode = 2; // crossed a physical node
 inline constexpr std::uint16_t kFlagRemote = 4;  // kLockAcquire: needed msgs
 inline constexpr std::uint16_t kFlagPerturbed = 8; // injected by the
                                                    // perturbing transport
+
+// The kind→counter rule: calls add(counter, n) once for each counter an event
+// of `kind` with these fields feeds, and nothing for analysis-only kinds.
+template <typename Add>
+constexpr void fold(EventKind kind, std::uint64_t arg0, std::uint64_t arg1,
+                    std::uint16_t flags, Add&& add) {
+  using enum EventKind;
+  switch (kind) {
+  case kMessage:
+    add(Counter::kMsgsSent, 1);
+    add(Counter::kBytesSent, arg0);
+    if (flags & kFlagOffNode) {
+      add(Counter::kMsgsOffNode, 1);
+      add(Counter::kBytesOffNode, arg0);
+    }
+    break;
+  case kPageFault:
+    add(Counter::kPageFaults, 1);
+    add((flags & kFlagWrite) ? Counter::kWriteFaults : Counter::kReadFaults, 1);
+    break;
+  case kTwinCreate: add(Counter::kTwins, 1); break;
+  case kDiffCreate:
+    add(Counter::kDiffsCreated, 1);
+    add(Counter::kDiffBytesCreated, arg1);
+    break;
+  case kDiffApply: add(Counter::kDiffsApplied, 1); break;
+  case kMprotect: add(Counter::kMprotect, 1); break;
+  case kLockAcquire:
+    add(Counter::kLockAcquires, 1);
+    if (flags & kFlagRemote) add(Counter::kLockRemoteAcquires, 1);
+    break;
+  case kBarrierArrive: add(Counter::kBarriers, 1); break;
+  case kIntervalClose: add(Counter::kIntervals, 1); break;
+  case kWriteNoticesSent: add(Counter::kWriteNoticesSent, arg0); break;
+  case kWriteNoticesRecv: add(Counter::kWriteNoticesRecv, arg0); break;
+  case kInvalidate: add(Counter::kPageInvalidations, 1); break;
+  case kFullPageFetch: add(Counter::kFullPageFetches, 1); break;
+  case kPrefetchBatch:
+    add(Counter::kPrefetchBatches, 1);
+    add(Counter::kPrefetchPagesFetched, arg1);
+    break;
+  case kPrefetchHit: add(Counter::kPrefetchHits, 1); break;
+  case kMessageLost: add(Counter::kMsgsLost, 1); break;
+  case kRetransmit: add(Counter::kRetransmits, 1); break;
+  case kAck: add(Counter::kAcksSent, 1); break;
+  case kCollStage:
+    add(Counter::kCollStages, 1);
+    add(Counter::kCollBytes, arg0);
+    break;
+  case kRaceCheck: add(Counter::kRaceChecks, arg0); break;
+  case kRaceDetected: add(Counter::kRacesDetected, 1); break;
+  case kContentionWait: add(Counter::kContentionStageWaits, 1); break;
+  case kLockGrant:
+  case kBarrierWait:
+  case kDiffFetch:
+  case kDiffFetchAsync:
+  case kGcEpisode:
+  case kRegionBegin:
+  case kRegionEnd:
+  case kCount:
+    break; // analysis-only kinds have no counter mapping
+  }
+}
+
+// Counter-bearing kinds feed at least one counter and are recorded with
+// trace::record; analysis-only kinds are emitted with OMSP_TRACE_EVENT.
+constexpr bool counter_bearing(EventKind kind) {
+  bool feeds = false;
+  fold(kind, 1, 1, 0, [&](Counter, std::uint64_t) { feeds = true; });
+  return feeds;
+}
 
 inline const char* event_name(EventKind k) {
   static constexpr std::array<const char*,

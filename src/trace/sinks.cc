@@ -221,96 +221,9 @@ void write_chrome_json(const std::string& path,
 
 StatsSnapshot reconstruct_counters(const std::vector<Event>& events) {
   StatsSnapshot s;
-  for (const Event& e : events) {
-    switch (e.kind) {
-    case EventKind::kMessage:
-      s[Counter::kMsgsSent] += 1;
-      s[Counter::kBytesSent] += e.arg0;
-      if (e.flags & kFlagOffNode) {
-        s[Counter::kMsgsOffNode] += 1;
-        s[Counter::kBytesOffNode] += e.arg0;
-      }
-      break;
-    case EventKind::kPageFault:
-      s[Counter::kPageFaults] += 1;
-      s[(e.flags & kFlagWrite) ? Counter::kWriteFaults
-                               : Counter::kReadFaults] += 1;
-      break;
-    case EventKind::kTwinCreate:
-      s[Counter::kTwins] += 1;
-      break;
-    case EventKind::kDiffCreate:
-      s[Counter::kDiffsCreated] += 1;
-      s[Counter::kDiffBytesCreated] += e.arg1;
-      break;
-    case EventKind::kDiffApply:
-      s[Counter::kDiffsApplied] += 1;
-      break;
-    case EventKind::kMprotect:
-      s[Counter::kMprotect] += 1;
-      break;
-    case EventKind::kLockAcquire:
-      s[Counter::kLockAcquires] += 1;
-      if (e.flags & kFlagRemote) s[Counter::kLockRemoteAcquires] += 1;
-      break;
-    case EventKind::kBarrierArrive:
-      s[Counter::kBarriers] += 1;
-      break;
-    case EventKind::kIntervalClose:
-      s[Counter::kIntervals] += 1;
-      break;
-    case EventKind::kWriteNoticesSent:
-      s[Counter::kWriteNoticesSent] += e.arg0;
-      break;
-    case EventKind::kWriteNoticesRecv:
-      s[Counter::kWriteNoticesRecv] += e.arg0;
-      break;
-    case EventKind::kInvalidate:
-      s[Counter::kPageInvalidations] += 1;
-      break;
-    case EventKind::kFullPageFetch:
-      s[Counter::kFullPageFetches] += 1;
-      break;
-    case EventKind::kPrefetchBatch:
-      s[Counter::kPrefetchBatches] += 1;
-      s[Counter::kPrefetchPagesFetched] += e.arg1;
-      break;
-    case EventKind::kPrefetchHit:
-      s[Counter::kPrefetchHits] += 1;
-      break;
-    case EventKind::kMessageLost:
-      s[Counter::kMsgsLost] += 1;
-      break;
-    case EventKind::kRetransmit:
-      s[Counter::kRetransmits] += 1;
-      break;
-    case EventKind::kAck:
-      s[Counter::kAcksSent] += 1;
-      break;
-    case EventKind::kCollStage:
-      s[Counter::kCollStages] += 1;
-      s[Counter::kCollBytes] += e.arg0;
-      break;
-    case EventKind::kRaceCheck:
-      s[Counter::kRaceChecks] += e.arg0;
-      break;
-    case EventKind::kRaceDetected:
-      s[Counter::kRacesDetected] += 1;
-      break;
-    case EventKind::kContentionWait:
-      s[Counter::kContentionStageWaits] += 1;
-      break;
-    case EventKind::kLockGrant:
-    case EventKind::kBarrierWait:
-    case EventKind::kDiffFetch:
-    case EventKind::kDiffFetchAsync:
-    case EventKind::kGcEpisode:
-    case EventKind::kRegionBegin:
-    case EventKind::kRegionEnd:
-    case EventKind::kCount:
-      break; // analysis-only kinds have no counter mapping
-    }
-  }
+  for (const Event& e : events)
+    fold(e.kind, e.arg0, e.arg1, e.flags,
+         [&](Counter c, std::uint64_t n) { s[c] += n; });
   return s;
 }
 

@@ -10,9 +10,10 @@
 //    the virtual-time axis. Duration events (faults, barrier waits, lock
 //    acquires) render as slices; everything else as instants.
 //
-// reconstruct_counters folds an event stream back into a StatsSnapshot using
-// the kind→counter mapping documented in event.hpp — the core of the
-// trace/stats consistency audit (`omsp-trace check` / `--self-check`).
+// reconstruct_counters folds an event stream back into a StatsSnapshot with
+// fold() (event.hpp), the rule trace::record applies to the live counters —
+// the core of the trace/stats consistency audit (`omsp-trace check` /
+// `--self-check`).
 #pragma once
 
 #include <string>
@@ -70,9 +71,8 @@ std::string chrome_trace_json(const std::vector<Event>& events);
 void write_chrome_json(const std::string& path,
                        const std::vector<Event>& events);
 
-// Fold the event stream back into counter totals. Events attributed to
-// context `ctx` land on that context's conceptual board, exactly like the
-// live StatsBoard increments; the returned snapshot is the all-context sum.
+// Fold the event stream back into counter totals: the all-context sum of
+// what trace::record added to the live boards.
 StatsSnapshot reconstruct_counters(const std::vector<Event>& events);
 
 // One page's protocol history (`omsp-trace pages --page`): its faults,

@@ -2,9 +2,11 @@
 //
 // Design:
 //  * One process-global active Tracer (installed by the DsmSystem whose
-//    Config enabled tracing). Emission sites call the OMSP_TRACE_EVENT macro,
-//    which is a single relaxed atomic load plus a predicted-untaken branch
-//    when tracing is off — cheap enough for the fault and message hot paths.
+//    Config enabled tracing). Counted facts are recorded with trace::record,
+//    which folds the event into a StatsBoard and then emits it; analysis-only
+//    events go through the OMSP_TRACE_EVENT macro. Either emission is a
+//    single relaxed atomic load plus a predicted-untaken branch when tracing
+//    is off — cheap enough for the fault and message hot paths.
 //  * Each emitting thread owns a single-producer/single-consumer ring buffer
 //    registered on first emission. Producers never take a lock and never
 //    block: a full ring drops the event and counts it (the drop counter is
@@ -21,8 +23,9 @@
 // active tracer's generation on every emit, so stale pointers from a
 // destroyed tracer are never dereferenced.
 //
-// Define OMSP_TRACE_COMPILED_OUT to compile every emission site down to
-// nothing (the "compile-time-cheap" escape hatch for overhead audits).
+// Define OMSP_TRACE_COMPILED_OUT to compile every emission down to nothing
+// (the "compile-time-cheap" escape hatch for overhead audits); record() still
+// folds its counters.
 #pragma once
 
 #include <atomic>
@@ -158,17 +161,42 @@ private:
   std::uint64_t dropped_before_clear_ = 0; // from rings retired by clear()
 };
 
+// The accounting funnel: fold one counter-bearing event into `board` (the
+// board of the context the fact is attributed to) and, when a tracer is
+// active, emit the same event — so the live counters and a lossless trace
+// cannot disagree.
+inline void record(StatsBoard& board, EventKind kind,
+                   [[maybe_unused]] ContextId ctx, std::uint64_t arg0 = 0,
+                   std::uint64_t arg1 = 0, std::uint16_t flags = 0,
+                   [[maybe_unused]] double dur_us = 0) {
+  fold(kind, arg0, arg1, flags,
+       [&](Counter c, std::uint64_t n) { board.add(c, n); });
+#ifndef OMSP_TRACE_COMPILED_OUT
+  if (Tracer* tr = Tracer::active(); tr != nullptr) [[unlikely]]
+    tr->emit(kind, ctx, arg0, arg1, flags, dur_us);
+#endif
+}
+
 } // namespace omsp::trace
 
-// Emission macro. `kind_` is the bare EventKind member name; remaining
-// arguments forward to Tracer::emit (arg0, arg1, flags, dur_us).
+// Emission macro for analysis-only kinds. `kind_` is the bare EventKind
+// member name; remaining arguments forward to Tracer::emit (arg0, arg1,
+// flags, dur_us). A counter-bearing kind does not compile here: it goes
+// through record().
+#define OMSP_TRACE_ANALYSIS_ONLY(kind_)                                        \
+  static_assert(!::omsp::trace::counter_bearing(                               \
+                    ::omsp::trace::EventKind::kind_),                          \
+                "OMSP_TRACE_EVENT(" #kind_ "): counter-bearing kinds are "     \
+                "recorded with trace::record")
 #ifdef OMSP_TRACE_COMPILED_OUT
 #define OMSP_TRACE_EVENT(kind_, ctx_, ...)                                     \
   do {                                                                         \
+    OMSP_TRACE_ANALYSIS_ONLY(kind_);                                           \
   } while (0)
 #else
 #define OMSP_TRACE_EVENT(kind_, ctx_, ...)                                     \
   do {                                                                         \
+    OMSP_TRACE_ANALYSIS_ONLY(kind_);                                           \
     if (::omsp::trace::Tracer* omsp_tr_ = ::omsp::trace::Tracer::active();     \
         omsp_tr_ != nullptr) [[unlikely]]                                      \
       omsp_tr_->emit(::omsp::trace::EventKind::kind_, (ctx_), ##__VA_ARGS__);  \

@@ -3,6 +3,7 @@
 #include <thread>
 
 #include "common/stats.hpp"
+#include "trace/tracer.hpp"
 
 namespace omsp {
 namespace {
@@ -10,16 +11,15 @@ namespace {
 TEST(Stats, AddAndGet) {
   StatsBoard b;
   EXPECT_EQ(b.get(Counter::kMsgsSent), 0u);
-  b.add(Counter::kMsgsSent);
-  b.add(Counter::kBytesSent, 100);
-  b.add(Counter::kBytesSent, 23);
+  trace::record(b, trace::EventKind::kMessage, 0, /*bytes=*/123);
   EXPECT_EQ(b.get(Counter::kMsgsSent), 1u);
   EXPECT_EQ(b.get(Counter::kBytesSent), 123u);
 }
 
 TEST(Stats, ResetZeroes) {
   StatsBoard b;
-  b.add(Counter::kDiffsCreated, 5);
+  for (int i = 0; i < 5; ++i)
+    trace::record(b, trace::EventKind::kDiffCreate, 0);
   b.reset();
   EXPECT_EQ(b.get(Counter::kDiffsCreated), 0u);
 }
@@ -30,7 +30,8 @@ TEST(Stats, ConcurrentIncrementsAreLossFree) {
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t)
     threads.emplace_back([&] {
-      for (int i = 0; i < kIters; ++i) b.add(Counter::kPageFaults);
+      for (int i = 0; i < kIters; ++i)
+        trace::record(b, trace::EventKind::kPageFault, 0);
     });
   for (auto& t : threads) t.join();
   EXPECT_EQ(b.get(Counter::kPageFaults),
@@ -39,8 +40,10 @@ TEST(Stats, ConcurrentIncrementsAreLossFree) {
 
 TEST(Stats, SnapshotAccumulates) {
   StatsBoard a, b;
-  a.add(Counter::kTwins, 3);
-  b.add(Counter::kTwins, 4);
+  for (int i = 0; i < 3; ++i)
+    trace::record(a, trace::EventKind::kTwinCreate, 0);
+  for (int i = 0; i < 4; ++i)
+    trace::record(b, trace::EventKind::kTwinCreate, 0);
   StatsSnapshot s;
   a.accumulate(s.v);
   b.accumulate(s.v);

@@ -8,7 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "net/router.hpp"
@@ -171,6 +175,28 @@ TEST(QueuedTransport, DeterministicAcrossRuns) {
 // Perturbation composes with the async path: jitter delays the handle's
 // completion (the destination's service clock is untouched), duplicates
 // re-run the handler and are fully accounted after quiesce().
+// Regression: the destructor published stop_ and notified without taking
+// each worker's mutex, so a worker that had just found stop_ false, and had
+// not yet blocked, missed the notify and the join hung (4 of 6 runs of 20000
+// cycles hung). Destroying right after construction catches workers in that
+// window; the watchdog turns a hang into a failure.
+TEST(QueuedTransport, DestructionRightAfterConstructionJoinsEveryWorker) {
+  Router router({0, 1, 2, 3}, flat_model());
+  std::atomic<bool> done{false};
+  std::thread watchdog([&] {
+    for (int i = 0; i < 1200 && !done.load(); ++i)
+      std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    if (!done.load()) {
+      std::fprintf(stderr, "~QueuedTransport did not join its workers\n");
+      std::abort();
+    }
+  });
+  for (int i = 0; i < 5000; ++i)
+    QueuedTransport qt(std::make_unique<InlineTransport>(router), router);
+  done.store(true);
+  watchdog.join();
+}
+
 TEST(QueuedTransport, PerturbedAsyncJitterAndDuplicates) {
   Fixture f;
   PerturbOptions po;

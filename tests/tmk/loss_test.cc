@@ -183,11 +183,6 @@ TEST(LossDeterminism, SameSeedSameResultsWithRealLossTraffic) {
   EXPECT_GT(s[Counter::kMsgsLost], 0u);
   EXPECT_GT(s[Counter::kRetransmits], 0u);
   EXPECT_GT(s[Counter::kAcksSent], 0u);
-  const auto& pt =
-      dynamic_cast<net::PerturbingTransport&>(dsm.router().transport());
-  EXPECT_EQ(pt.stats().losses, s[Counter::kMsgsLost]);
-  EXPECT_EQ(pt.stats().retransmits, s[Counter::kRetransmits]);
-  EXPECT_EQ(pt.stats().acks, s[Counter::kAcksSent]);
 }
 
 // Retry-cap exhaustion surfaces as net::TransportError from the protocol
@@ -272,11 +267,10 @@ TEST(LossFromEnv, SystemStacksLossOnlyTransportAndResetsStats) {
       dsm.barrier();
     }
   });
-  EXPECT_GT(pt.stats().losses, 0u);
+  EXPECT_GT(dsm.stats()[Counter::kMsgsLost], 0u);
   dsm.reset_stats();
-  EXPECT_EQ(pt.stats().losses, 0u);
-  EXPECT_EQ(pt.stats().retransmits, 0u);
   EXPECT_EQ(dsm.stats()[Counter::kMsgsLost], 0u);
+  EXPECT_EQ(dsm.stats()[Counter::kRetransmits], 0u);
 }
 
 } // namespace

@@ -197,27 +197,71 @@ TEST(Tracer, SecondInstallLosesAndEmissionGoesToFirst) {
   EXPECT_FALSE(second.install());
   EXPECT_EQ(Tracer::active(), &first);
 
-  OMSP_TRACE_EVENT(kTwinCreate, 0, 11);
+  OMSP_TRACE_EVENT(kDiffFetch, 0, 11);
   EXPECT_EQ(first.snapshot_events().size(), 1u);
   EXPECT_EQ(second.snapshot_events().size(), 0u);
 
   first.uninstall();
   EXPECT_EQ(Tracer::active(), nullptr);
-  OMSP_TRACE_EVENT(kTwinCreate, 0, 12); // no active tracer: dropped silently
+  OMSP_TRACE_EVENT(kDiffFetch, 0, 12); // no active tracer: dropped silently
   EXPECT_EQ(first.snapshot_events().size(), 1u);
 }
 
 TEST(Tracer, ClearResetsEventsAndDropAccounting) {
   Tracer tr(enabled_options(/*ring_events=*/4));
   ASSERT_TRUE(tr.install());
-  for (int i = 0; i < 10; ++i) OMSP_TRACE_EVENT(kInvalidate, 0, i);
+  for (int i = 0; i < 10; ++i) OMSP_TRACE_EVENT(kDiffFetch, 0, i);
   EXPECT_EQ(tr.dropped_total(), 6u);
   tr.clear();
   EXPECT_EQ(tr.dropped_total(), 0u);
   EXPECT_TRUE(tr.snapshot_events().empty());
-  OMSP_TRACE_EVENT(kInvalidate, 0, 99);
+  OMSP_TRACE_EVENT(kDiffFetch, 0, 99);
   EXPECT_EQ(tr.snapshot_events().size(), 1u);
   tr.uninstall();
+}
+
+// trace::record is the one accounting funnel: every kind, recorded once with
+// non-zero fields and every flag under an active tracer, emits exactly that
+// event, and the board it fed equals the emitted event's reconstruction —
+// zero for analysis-only kinds. Across all kinds every counter is fed.
+TEST(Record, EveryKindFoldsOnceLiveAndReplayed) {
+  constexpr std::uint16_t kAllFlags =
+      kFlagWrite | kFlagOffNode | kFlagRemote | kFlagPerturbed;
+  const StatsSnapshot zero;
+  StatsSnapshot fed_by_some_kind;
+  for (std::size_t k = 0; k < static_cast<std::size_t>(EventKind::kCount);
+       ++k) {
+    const auto kind = static_cast<EventKind>(k);
+    SCOPED_TRACE(event_name(kind));
+    Tracer tr(enabled_options());
+    ASSERT_TRUE(tr.install());
+    StatsBoard board;
+    record(board, kind, /*ctx=*/2, /*arg0=*/7, /*arg1=*/5, kAllFlags,
+           /*dur_us=*/1.5);
+    const std::vector<Event> events = tr.snapshot_events();
+    tr.uninstall();
+
+    ASSERT_EQ(events.size(), 1u);
+    EXPECT_EQ(events[0].kind, kind);
+    EXPECT_EQ(events[0].ctx, 2u);
+    EXPECT_EQ(events[0].arg0, 7u);
+    EXPECT_EQ(events[0].arg1, 5u);
+    EXPECT_EQ(events[0].flags, kAllFlags);
+    EXPECT_EQ(events[0].dur_us, 1.5);
+    StatsSnapshot live;
+    board.accumulate(live.v);
+    EXPECT_EQ(live.v, reconstruct_counters(events).v);
+    if (counter_bearing(kind))
+      EXPECT_NE(live.v, zero.v);
+    else
+      EXPECT_EQ(live.v, zero.v);
+    fed_by_some_kind += live;
+  }
+  // kAllFlags routes page faults to write_faults; a read fault feeds the rest.
+  fed_by_some_kind += reconstruct_counters({make_event(EventKind::kPageFault)});
+  for (std::size_t c = 0; c < static_cast<std::size_t>(Counter::kCount); ++c)
+    EXPECT_GT(fed_by_some_kind.v[c], 0u)
+        << counter_name(static_cast<Counter>(c));
 }
 
 // ----------------------------------------------------------- integration ----
