@@ -138,64 +138,46 @@ void Team::for_chunks(std::int64_t lo, std::int64_t hi, Schedule sched,
   case ScheduleKind::kStatic:
     static_chunks(lo, hi, sched.chunk, rank_, size_, body);
     break;
-  case ScheduleKind::kDynamic: {
-    const std::int64_t chunk = sched.chunk > 0 ? sched.chunk : 1;
-    auto& next = loop_counter(instance, lo);
-    const ContextId cid = rt_.dsm_.config().context_of_rank(rank_);
-    for (;;) {
-      const std::int64_t b = next.fetch_add(chunk);
-      if (b >= hi) break;
-      // A chunk grab is a round trip to the loop's shared counter, which
-      // lives with the team master (TreadMarks implements this with a lock
-      // plus a shared index). Charge and count it honestly.
-      if (cid != 0) {
-        auto* clock = sim::VirtualClock::current();
-        if (clock != nullptr) {
-          auto& transport = rt_.dsm_.router().transport();
-          const std::size_t bytes =
-              net::msg_fixed_bytes(net::MsgType::kLoopChunk);
-          clock->charge(transport.notify(
-              net::Envelope::notice(cid, 0, net::MsgType::kLoopChunk, bytes)));
-          clock->charge(transport.notify(
-              net::Envelope::notice(0, cid, net::MsgType::kLoopChunk, bytes)));
-          clock->charge(rt_.dsm_.config().cost.lock_service_us);
-        }
-      }
-      body(b, b + chunk < hi ? b + chunk : hi);
-    }
-    break;
-  }
+  case ScheduleKind::kDynamic:
   case ScheduleKind::kGuided: {
-    const std::int64_t min_chunk = sched.chunk > 0 ? sched.chunk : 1;
     auto& next = loop_counter(instance, lo);
-    const ContextId cid = rt_.dsm_.config().context_of_rank(rank_);
-    for (;;) {
-      std::int64_t b = next.load();
-      std::int64_t c;
-      do {
-        if (b >= hi) break;
-        c = guided_next_chunk(hi - b, size_, min_chunk);
-      } while (!next.compare_exchange_weak(b, b + c));
-      if (b >= hi) break;
-      if (cid != 0) {
-        auto* clock = sim::VirtualClock::current();
-        if (clock != nullptr) {
-          auto& transport = rt_.dsm_.router().transport();
-          const std::size_t bytes =
-              net::msg_fixed_bytes(net::MsgType::kLoopChunk);
-          clock->charge(transport.notify(
-              net::Envelope::notice(cid, 0, net::MsgType::kLoopChunk, bytes)));
-          clock->charge(transport.notify(
-              net::Envelope::notice(0, cid, net::MsgType::kLoopChunk, bytes)));
-          clock->charge(rt_.dsm_.config().cost.lock_service_us);
-        }
-      }
-      body(b, b + c < hi ? b + c : hi);
-    }
+    std::int64_t b = 0;
+    std::int64_t e = 0;
+    while (grab_chunk(next, hi, sched, b, e)) body(b, e);
     break;
   }
   }
   if (!nowait) barrier();
+}
+
+bool Team::grab_chunk(std::atomic<std::int64_t>& next, std::int64_t hi,
+                      Schedule sched, std::int64_t& begin, std::int64_t& end) {
+  sim::RuntimeSection rs;
+  const std::int64_t min_chunk = sched.chunk > 0 ? sched.chunk : 1;
+  std::int64_t b = next.load();
+  std::int64_t c = 0;
+  do {
+    if (b >= hi) return false;
+    c = sched.kind == ScheduleKind::kGuided
+            ? guided_next_chunk(hi - b, size_, min_chunk)
+            : min_chunk;
+  } while (!next.compare_exchange_weak(b, b + c));
+  begin = b;
+  end = b + c < hi ? b + c : hi;
+  // A chunk grab is a round trip to the loop's shared counter, which lives
+  // with the team master (TreadMarks implements this with a lock plus a
+  // shared index). Charge and count it honestly.
+  const ContextId cid = rt_.dsm_.config().context_of_rank(rank_);
+  if (cid != 0 && rs.clock() != nullptr) {
+    auto& transport = rt_.dsm_.router().transport();
+    const std::size_t bytes = net::msg_fixed_bytes(net::MsgType::kLoopChunk);
+    rs.clock()->charge(transport.notify(
+        net::Envelope::notice(cid, 0, net::MsgType::kLoopChunk, bytes)));
+    rs.clock()->charge(transport.notify(
+        net::Envelope::notice(0, cid, net::MsgType::kLoopChunk, bytes)));
+    rs.clock()->charge(rt_.dsm_.config().cost.lock_service_us);
+  }
+  return true;
 }
 
 void Team::critical(const std::string& name,

@@ -211,6 +211,11 @@ private:
   friend class OmpRuntime;
   std::atomic<std::int64_t>& loop_counter(std::uint64_t instance,
                                           std::int64_t init);
+  // Claim the next [begin, end) chunk of a dynamic or guided loop from its
+  // shared counter `next`, inside one RuntimeSection; false once [.., hi) is
+  // exhausted.
+  bool grab_chunk(std::atomic<std::int64_t>& next, std::int64_t hi,
+                  Schedule sched, std::int64_t& begin, std::int64_t& end);
 
   OmpRuntime& rt_;
   Rank rank_;

@@ -57,7 +57,7 @@ void MpiWorld::run(const std::function<void(Comm&)>& fn) {
 
 void Comm::send(int dst, int tag, const void* data, std::size_t bytes) {
   OMSP_CHECK(dst >= 0 && dst < size());
-  clock_.sync_cpu();
+  sim::RuntimeSection rs(&clock_);
   // notify_ex separates the arrival-relevant delivery cost (base + any
   // perturbation jitter/holdback) from a duplicate's wire cost: the dup is
   // absorbed by the reliability layer, so it is accounted (counters, trace)
@@ -78,12 +78,11 @@ void Comm::send(int dst, int tag, const void* data, std::size_t bytes) {
     box.queue.push_back(std::move(msg));
   }
   box.cv.notify_all();
-  clock_.skip_cpu();
 }
 
 std::size_t Comm::recv(int src, int tag, void* data, std::size_t bytes,
                        int* out_src) {
-  clock_.sync_cpu();
+  sim::RuntimeSection rs(&clock_);
   auto& box = *world_.mailboxes_[rank_];
   std::unique_lock<std::mutex> lk(box.mutex);
   MpiWorld::Message msg;
@@ -120,7 +119,6 @@ std::size_t Comm::recv(int src, int tag, void* data, std::size_t bytes,
   std::memcpy(data, msg.payload.data(), msg.payload.size());
   if (out_src != nullptr) *out_src = msg.src;
   clock_.advance_to(msg.arrive_time_us);
-  clock_.skip_cpu();
   return msg.payload.size();
 }
 

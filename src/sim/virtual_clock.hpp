@@ -3,9 +3,10 @@
 // Each worker thread owns a VirtualClock. Application compute advances it by
 // the thread's measured CPU time (so it works on a single-core host where
 // threads are time-sliced); runtime operations advance it by modeled costs
-// from the CostModel. The runtime brackets its own code in a RuntimeSection
-// so its *host* CPU time is excluded — protocol work is charged at modeled
-// SP2 cost, not at host speed.
+// from the CostModel. Every runtime entry runs inside one RuntimeSection
+// (docs/PROTOCOL.md "Virtual time" lists them), the only code that can drop
+// *host* CPU time: protocol work is charged at modeled SP2 cost, not at host
+// speed.
 //
 // Synchronization points exchange timestamps: a barrier departure sets every
 // participant to max(arrivals) + cost; a lock grant makes the acquirer wait
@@ -26,29 +27,19 @@ public:
     cpu_base_us_ = thread_cpu_us();
   }
 
-  // Fold the thread's CPU time since the last sample into virtual time.
+  // Read point: fold the thread's CPU time since the last sample into virtual
+  // time. Runtime code enters through a RuntimeSection instead.
   void sync_cpu() {
     const double now = thread_cpu_us();
     now_us_ += (now - cpu_base_us_) * cpu_scale_;
     cpu_base_us_ = now;
   }
 
-  // Resample the CPU base without accumulating: used when leaving runtime
-  // code whose host cost must not count as application compute.
-  void skip_cpu() { cpu_base_us_ = thread_cpu_us(); }
-
   // Add modeled cost.
   void charge(double us) {
     OMSP_DCHECK(us >= 0);
     now_us_ += us;
   }
-
-  // Remove `host_us` of HOST CPU time that sync_cpu unavoidably captured but
-  // that is not application compute (e.g. the kernel's SIGSEGV trap and
-  // sigreturn around a page fault — the handler itself is excluded by
-  // RuntimeSection, but the trap happens before the handler can resample).
-  // The amount is scaled like any other compute.
-  void discount_cpu(double host_us) { now_us_ -= host_us * cpu_scale_; }
 
   // Lamport-style merge with an incoming timestamp.
   void advance_to(double t_us) {
@@ -57,8 +48,6 @@ public:
 
   double now_us() const { return now_us_; }
   void set_now_us(double t) { now_us_ = t; }
-  double cpu_scale() const { return cpu_scale_; }
-  void set_cpu_scale(double s) { cpu_scale_ = s; }
 
   static double thread_cpu_us() {
     timespec ts{};
@@ -75,10 +64,14 @@ public:
     return tls;
   }
 
+  // Binding resamples the CPU base on the binding thread: a clock's base must
+  // come from the thread that advances it, and a system may build a worker's
+  // clock on another thread (DsmSystem builds every clock on the master).
   class Binder {
   public:
     explicit Binder(VirtualClock* clock) : prev_(current()) {
       current() = clock;
+      if (clock != nullptr) clock->skip_cpu();
     }
     ~Binder() { current() = prev_; }
     Binder(const Binder&) = delete;
@@ -89,28 +82,51 @@ public:
   };
 
 private:
+  friend class RuntimeSection;
+
+  // Resample the CPU base without accumulating: the host time since the last
+  // sample is not application compute.
+  void skip_cpu() { cpu_base_us_ = thread_cpu_us(); }
+
   double now_us_ = 0;
   double cpu_base_us_ = 0;
   double cpu_scale_;
+  int sections_ = 0; // RuntimeSections open on this clock
 };
 
-// RAII bracket around runtime code: on entry, fold pending app compute into
-// the clock; on exit, drop the host CPU the runtime consumed.
+// The one bracket around runtime code, and the only code that drops host
+// time. The outermost section on a clock folds pending app compute on entry
+// and drops the host CPU the runtime consumed on exit; a section nested in
+// it (runtime work reached from other runtime work) samples nothing, so the
+// outer section's work never counts as compute.
 class RuntimeSection {
 public:
-  RuntimeSection() : clock_(VirtualClock::current()) {
-    if (clock_ != nullptr) clock_->sync_cpu();
+  explicit RuntimeSection(VirtualClock* clock = VirtualClock::current())
+      : clock_(clock) {
+    if (clock_ != nullptr && clock_->sections_++ == 0) {
+      clock_->sync_cpu();
+      folded_ = true;
+    }
   }
   ~RuntimeSection() {
-    if (clock_ != nullptr) clock_->skip_cpu();
+    if (clock_ != nullptr && --clock_->sections_ == 0) clock_->skip_cpu();
   }
   RuntimeSection(const RuntimeSection&) = delete;
   RuntimeSection& operator=(const RuntimeSection&) = delete;
 
   VirtualClock* clock() const { return clock_; }
 
+  // Take `host_us` of host CPU that the entry fold captured but that is not
+  // application compute (the kernel's SIGSEGV trap and sigreturn before the
+  // fault handler opened this section) back out, scaled like compute. A
+  // nested section folded nothing, so it takes nothing back.
+  void discount_trap(double host_us) {
+    if (folded_) clock_->now_us_ -= host_us * clock_->cpu_scale_;
+  }
+
 private:
   VirtualClock* clock_;
+  bool folded_ = false;
 };
 
 } // namespace omsp::sim

@@ -68,8 +68,8 @@ void DsmContext::on_fault(void* addr, bool is_write) {
   if (rs.clock() != nullptr) {
     rs.clock()->charge(config_.cost.fault_dispatch_us);
     // The kernel's trap/sigreturn time around this fault was captured by the
-    // clock sync as if it were application compute; take it back out.
-    rs.clock()->discount_cpu(FaultRegistry::fault_trap_overhead_us());
+    // section's entry fold as if it were application compute; take it back.
+    rs.discount_trap(FaultRegistry::fault_trap_overhead_us());
   }
   const double fault_t0 =
       rs.clock() != nullptr ? rs.clock()->now_us() : 0;

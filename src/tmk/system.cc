@@ -118,28 +118,28 @@ DsmSystem::~DsmSystem() {
 void DsmSystem::worker_main(Rank rank) {
   const ContextId cid = config_.context_of_rank(rank);
   ThreadHeapBinding::Scope heap_scope(contexts_[cid]->heap().app_base());
+  // The clock was built on the master; binding resamples its CPU base here.
   sim::VirtualClock::Binder clock_scope(clocks_[rank].get());
   t_current_rank = rank;
   trace::Tracer::bind_thread(rank);
 
-  std::uint64_t seen_gen = 0;
-  for (;;) {
+  for (std::uint64_t seen_gen = 0;;) {
     {
+      // One section spans the last region's epilogue, the park and the
+      // fork's clock merge: parked time is not compute.
+      sim::RuntimeSection rs(clocks_[rank].get());
+      if (seen_gen != 0) rank_epilogue(rank);
       std::unique_lock<std::mutex> lk(fork_mutex_);
       fork_cv_.wait(lk, [&] { return stop_ || fork_gen_ > seen_gen; });
       if (stop_) return;
       seen_gen = fork_gen_;
+      rs.clock()->advance_to(fork_start_time_[cid]);
     }
-    auto& clk = *clocks_[rank];
-    clk.skip_cpu(); // parked time is not compute
-    clk.advance_to(fork_start_time_[cid]);
     fork_fn_(rank);
-    rank_epilogue(rank);
   }
 }
 
 void DsmSystem::rank_epilogue(Rank rank) {
-  sim::RuntimeSection rs;
   const ContextId cid = config_.context_of_rank(rank);
   std::lock_guard<std::mutex> lk(join_mutex_);
   join_times_[rank] = clocks_[rank]->now_us();
@@ -158,10 +158,19 @@ void DsmSystem::parallel(const std::function<void(Rank)>& fn) {
   OMSP_CHECK_MSG(!in_parallel_, "DsmSystem::parallel does not nest");
   in_parallel_ = true;
 
-  auto& mclk = *clocks_[0];
-  mclk.sync_cpu(); // sequential-section compute accrues to the master
+  fork_region(fn);
+  // The master is part of the team: run rank 0's share with app compute
+  // charged to the master clock.
+  fn(0);
+  join_region();
+  in_parallel_ = false;
+}
 
-  // --- Tmk_fork: master release, slaves acquire ------------------------------
+// --- Tmk_fork: master release, slaves acquire --------------------------------
+void DsmSystem::fork_region(const std::function<void(Rank)>& fn) {
+  auto& mclk = *clocks_[0];
+  // Entry folds the sequential section's compute into the master clock.
+  sim::RuntimeSection rs(&mclk);
   contexts_[0]->close_interval();
   {
     std::lock_guard<std::mutex> lk(join_mutex_);
@@ -183,19 +192,18 @@ void DsmSystem::parallel(const std::function<void(Rank)>& fn) {
     ++fork_gen_;
   }
   fork_cv_.notify_all();
+}
 
-  // The master is part of the team: run rank 0's share with app compute
-  // charged to the master clock.
-  mclk.skip_cpu(); // fork bookkeeping is runtime, not app compute
-  fn(0);
+// --- Tmk_join: slaves release, master acquires -------------------------------
+void DsmSystem::join_region() {
+  auto& mclk = *clocks_[0];
+  // One section spans rank 0's epilogue, the wait and the join merge.
+  sim::RuntimeSection rs(&mclk);
   rank_epilogue(0);
-
-  // --- Tmk_join: slaves release, master acquires -----------------------------
   {
     std::unique_lock<std::mutex> lk(join_mutex_);
     join_cv_.wait(lk, [&] { return join_ready_; });
   }
-  mclk.sync_cpu();
   for (ContextId c = 1; c < config_.num_contexts(); ++c) {
     const Handoff h = hand_off(c, 0, MsgType::kJoinNotice, kForkDescriptorBytes,
                                contexts_[0]->vt_snapshot());
@@ -206,7 +214,6 @@ void DsmSystem::parallel(const std::function<void(Rank)>& fn) {
   }
   for (Rank r = 0; r < nprocs(); ++r)
     if (config_.context_of_rank(r) == 0) mclk.advance_to(join_times_[r]);
-  mclk.skip_cpu();
 
   // Join is a quiescent point like a barrier episode: sweep the epoch's
   // write histories before anything can flush on top of them.
@@ -217,15 +224,13 @@ void DsmSystem::parallel(const std::function<void(Rank)>& fn) {
   // fire-and-forget transport jobs — perturbation duplicates — finish).
   router_->transport().quiesce();
   if (tracer_ != nullptr) tracer_->drain_all();
-
-  in_parallel_ = false;
 }
 
 void DsmSystem::barrier() {
   const Rank rank = current_rank();
   const ContextId cid = config_.context_of_rank(rank);
   auto& clk = *clocks_[rank];
-  clk.sync_cpu();
+  sim::RuntimeSection rs(&clk);
   const double wait_t0 = clk.now_us();
 
   std::unique_lock<std::mutex> lk(bar_mutex_);
@@ -313,7 +318,6 @@ void DsmSystem::barrier() {
     bar_cv_.wait(lk, [&] { return bar_generation_ != mygen; });
   }
   clk.advance_to(bar_departure_time_[cid]);
-  clk.skip_cpu();
   OMSP_TRACE_EVENT(kBarrierWait, cid, mygen, 0, std::uint16_t{0},
                    clk.now_us() - wait_t0);
 }
@@ -449,7 +453,7 @@ bool DsmSystem::acquire_lock(LockId l, bool blocking) {
   const Rank rank = current_rank();
   const ContextId cid = config_.context_of_rank(rank);
   auto& clk = *clocks_[rank];
-  clk.sync_cpu();
+  sim::RuntimeSection rs(&clk);
   const double acq_t0 = clk.now_us();
   const ContextId manager = l % config_.num_contexts();
 
@@ -465,7 +469,6 @@ bool DsmSystem::acquire_lock(LockId l, bool blocking) {
       // payload worth accounting but the round trip still takes time.
       clk.charge(2 * notify(cid, manager, MsgType::kLockRequest,
                             kLockRequestBytes));
-    clk.skip_cpu();
     return false;
   }
   const bool remote = st.held || st.cached_at != cid;
@@ -492,7 +495,6 @@ bool DsmSystem::acquire_lock(LockId l, bool blocking) {
       clk.advance_to(waiter.grant_time);
     }
   }
-  clk.skip_cpu();
   trace::record(router_->stats(cid), trace::EventKind::kLockAcquire, cid, l, 0,
                 remote ? trace::kFlagRemote : std::uint16_t{0},
                 clk.now_us() - acq_t0);
@@ -503,7 +505,7 @@ void DsmSystem::lock_release(LockId l) {
   const Rank rank = current_rank();
   const ContextId cid = config_.context_of_rank(rank);
   auto& clk = *clocks_[rank];
-  clk.sync_cpu();
+  sim::RuntimeSection rs(&clk);
 
   std::unique_lock<std::mutex> lk(locks_mutex_);
   auto it = locks_.find(l);
@@ -516,7 +518,6 @@ void DsmSystem::lock_release(LockId l) {
   st.release_time = clk.now_us();
   if (st.queue.empty()) {
     st.held = false;
-    clk.skip_cpu();
     return;
   }
   LockWaiter* w = st.queue.front();
@@ -531,7 +532,6 @@ void DsmSystem::lock_release(LockId l) {
   }
   w->granted = true;
   locks_cv_.notify_all();
-  clk.skip_cpu();
 }
 
 void DsmSystem::start_prefetch_rounds() {

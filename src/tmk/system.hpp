@@ -128,6 +128,11 @@ private:
   };
 
   void worker_main(Rank rank);
+  // The master's halves of parallel(), each one RuntimeSection.
+  void fork_region(const std::function<void(Rank)>& fn);
+  void join_region();
+  // A rank's end-of-region join release; runs inside the caller's
+  // RuntimeSection (the worker's park, the master's join).
   void rank_epilogue(Rank rank);
   // Barrier-time batched prefetch (overlap.prefetch): run by the barrier
   // manager at the quiescent point after departure records were applied.

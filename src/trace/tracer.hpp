@@ -22,10 +22,6 @@
 // generation counter: a cached thread-local ring is revalidated against the
 // active tracer's generation on every emit, so stale pointers from a
 // destroyed tracer are never dereferenced.
-//
-// Define OMSP_TRACE_COMPILED_OUT to compile every emission down to nothing
-// (the "compile-time-cheap" escape hatch for overhead audits); record() still
-// folds its counters.
 #pragma once
 
 #include <atomic>
@@ -165,16 +161,13 @@ private:
 // board of the context the fact is attributed to) and, when a tracer is
 // active, emit the same event — so the live counters and a lossless trace
 // cannot disagree.
-inline void record(StatsBoard& board, EventKind kind,
-                   [[maybe_unused]] ContextId ctx, std::uint64_t arg0 = 0,
-                   std::uint64_t arg1 = 0, std::uint16_t flags = 0,
-                   [[maybe_unused]] double dur_us = 0) {
+inline void record(StatsBoard& board, EventKind kind, ContextId ctx,
+                   std::uint64_t arg0 = 0, std::uint64_t arg1 = 0,
+                   std::uint16_t flags = 0, double dur_us = 0) {
   fold(kind, arg0, arg1, flags,
        [&](Counter c, std::uint64_t n) { board.add(c, n); });
-#ifndef OMSP_TRACE_COMPILED_OUT
   if (Tracer* tr = Tracer::active(); tr != nullptr) [[unlikely]]
     tr->emit(kind, ctx, arg0, arg1, flags, dur_us);
-#endif
 }
 
 } // namespace omsp::trace
@@ -183,22 +176,13 @@ inline void record(StatsBoard& board, EventKind kind,
 // member name; remaining arguments forward to Tracer::emit (arg0, arg1,
 // flags, dur_us). A counter-bearing kind does not compile here: it goes
 // through record().
-#define OMSP_TRACE_ANALYSIS_ONLY(kind_)                                        \
-  static_assert(!::omsp::trace::counter_bearing(                               \
-                    ::omsp::trace::EventKind::kind_),                          \
-                "OMSP_TRACE_EVENT(" #kind_ "): counter-bearing kinds are "     \
-                "recorded with trace::record")
-#ifdef OMSP_TRACE_COMPILED_OUT
 #define OMSP_TRACE_EVENT(kind_, ctx_, ...)                                     \
   do {                                                                         \
-    OMSP_TRACE_ANALYSIS_ONLY(kind_);                                           \
-  } while (0)
-#else
-#define OMSP_TRACE_EVENT(kind_, ctx_, ...)                                     \
-  do {                                                                         \
-    OMSP_TRACE_ANALYSIS_ONLY(kind_);                                           \
+    static_assert(!::omsp::trace::counter_bearing(                             \
+                      ::omsp::trace::EventKind::kind_),                        \
+                  "OMSP_TRACE_EVENT(" #kind_ "): counter-bearing kinds are "   \
+                  "recorded with trace::record");                              \
     if (::omsp::trace::Tracer* omsp_tr_ = ::omsp::trace::Tracer::active();     \
         omsp_tr_ != nullptr) [[unlikely]]                                      \
       omsp_tr_->emit(::omsp::trace::EventKind::kind_, (ctx_), ##__VA_ARGS__);  \
   } while (0)
-#endif

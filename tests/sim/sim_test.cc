@@ -64,24 +64,55 @@ TEST(VirtualClock, ChargeAndMerge) {
   EXPECT_DOUBLE_EQ(c.now_us(), 400);
 }
 
-TEST(VirtualClock, CpuAccrualScales) {
-  VirtualClock c(10.0);
+void burn_cpu() {
   volatile double sink = 0;
   for (int i = 0; i < 4000000; ++i) sink = sink + 1;
-  c.sync_cpu();
-  const double t1 = c.now_us();
-  EXPECT_GT(t1, 0);
-  // skip_cpu drops the elapsed CPU instead of accruing it.
-  for (int i = 0; i < 4000000; ++i) sink = sink + 1;
-  c.skip_cpu();
-  EXPECT_DOUBLE_EQ(c.now_us(), t1);
+}
+
+TEST(VirtualClock, CpuAccrualScales) {
+  VirtualClock c(10.0);
+  VirtualClock::Binder bind(&c);
+  burn_cpu();
+  double inside = 0;
+  {
+    RuntimeSection rs; // entry folds the app compute above, scaled
+    inside = c.now_us();
+    EXPECT_GT(inside, 0);
+    burn_cpu(); // runtime work: dropped on exit, not accrued
+  }
+  EXPECT_DOUBLE_EQ(c.now_us(), inside);
 }
 
 TEST(VirtualClock, DiscountScalesWithCpuScale) {
   VirtualClock c(50.0);
   c.charge(1000);
-  c.discount_cpu(2.0); // 2 host-us at scale 50 = 100 simulated us
-  EXPECT_DOUBLE_EQ(c.now_us(), 900);
+  RuntimeSection rs(&c);
+  const double folded = c.now_us();
+  rs.discount_trap(2.0); // 2 host-us at scale 50 = 100 simulated us
+  EXPECT_DOUBLE_EQ(c.now_us(), folded - 100);
+}
+
+TEST(VirtualClock, NestedSectionSamplesNothing) {
+  VirtualClock c(1000.0);
+  VirtualClock::Binder bind(&c);
+  double outer_t = 0;
+  {
+    RuntimeSection outer;
+    outer_t = c.now_us();
+    burn_cpu();
+    {
+      RuntimeSection inner(&c);
+      // The outer section's work is runtime, not compute: the inner entry
+      // folds none of it, and there is no trap to take back.
+      EXPECT_DOUBLE_EQ(c.now_us(), outer_t);
+      inner.discount_trap(2.0);
+      EXPECT_DOUBLE_EQ(c.now_us(), outer_t);
+      burn_cpu();
+    }
+    EXPECT_DOUBLE_EQ(c.now_us(), outer_t);
+    burn_cpu();
+  }
+  EXPECT_DOUBLE_EQ(c.now_us(), outer_t);
 }
 
 TEST(VirtualClock, ThreadLocalBinding) {

@@ -1,5 +1,5 @@
 // Virtual-time semantics at the system level: the makespan rules that make
-// Figure 1 measurable on a single-core host. All tests use cpu_scale = 0 so
+// Figure 1 measurable on a single-core host. Most tests use cpu_scale = 0 so
 // only modeled costs move the clocks, making outcomes exact.
 #include <gtest/gtest.h>
 
@@ -82,6 +82,27 @@ TEST(TimingSemantics, ClocksNeverRegressAcrossRegions) {
     EXPECT_GE(now, last);
     last = now;
   }
+}
+
+TEST(TimingSemantics, WorkerClockBaseIsItsOwnThread) {
+  // Every clock is built on the master. A worker's first fold must still
+  // measure the worker's own CPU: folding against the master's CPU base
+  // would subtract the master's ~50 ms, scaled, from the worker's clock.
+  const double t0 = sim::VirtualClock::thread_cpu_us();
+  volatile double sink = 0;
+  while (sim::VirtualClock::thread_cpu_us() - t0 < 50000) sink = sink + 1;
+  Config cfg = timing_cfg(2, 2);
+  cfg.cost.cpu_scale = 1000;
+  DsmSystem dsm(cfg);
+  const double before_fork = dsm.master_time_us();
+  std::vector<double> at_start(dsm.nprocs(), 0);
+  dsm.parallel([&](Rank r) {
+    sim::VirtualClock& clk = *sim::VirtualClock::current();
+    clk.sync_cpu();
+    at_start[r] = clk.now_us();
+  });
+  for (Rank r = 0; r < dsm.nprocs(); ++r)
+    EXPECT_GE(at_start[r], before_fork) << "rank " << r;
 }
 
 TEST(TimingSemantics, OffNodeCostsMoreThanIntraNode) {
