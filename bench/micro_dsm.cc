@@ -261,15 +261,21 @@ BENCHMARK(BM_MultiWriterFetch)
     ->ArgName("overlap")
     ->Unit(benchmark::kMicrosecond);
 
-// Barrier engine comparison on a 16-node fat tree: arg 0 runs the seed's
-// centralized manager, arg 1 the hierarchical tree episode (OMSP_COLL=tree).
-// Host time measures the episode machinery; the modeled cost of one barrier
-// — the quantity the engine optimizes — is exported as virtual_us_per_iter.
-// Per-byte injection occupancy is on, so the manager's 15-message departure
-// fan-out serializes while the tree spreads it over node and edge leaders.
+// Barrier engine comparison. tree:0 runs the one-level star rooted at the
+// manager, tree:1 the hierarchical tree episode (OMSP_COLL=tree), both on a
+// 16-node fat tree with one processor per node. smp:1 runs the star on the
+// paper's sp2 (4 nodes x 4 threads, thread mode), where each node's arrival
+// leaves at its last thread's virtual arrival. Host time measures the
+// episode machinery; the modeled cost of one barrier — the quantity the
+// engine optimizes — is exported as virtual_us_per_iter. Per-byte injection
+// occupancy is on, so the manager's 15-message fan-in and fan-out serialize
+// while the tree spreads them over node and edge leaders.
 void BM_BarrierEpisode(benchmark::State& state) {
+  const bool smp = state.range(1) != 0;
   Config cfg;
-  cfg.topology = sim::Topology::fat_tree(2, 4, 1); // 16 nodes, 1 proc each
+  cfg.topology = smp ? sim::Topology::sp2()
+                     : sim::Topology::fat_tree(2, 4, 1); // 16 nodes x 1 proc
+  cfg.mode = Mode::kThread;
   cfg.cost = sim::CostModel::sp2_default();
   cfg.cost.cpu_scale = 0;
   cfg.cost.occupancy_byte_us = 0.02;
@@ -283,7 +289,7 @@ void BM_BarrierEpisode(benchmark::State& state) {
   for (auto _ : state) {
     ++expect;
     dsm.parallel([&](Rank r) {
-      // Every context dirties a slice of one falsely shared page, so each
+      // Every rank dirties a slice of one falsely shared page, so each
       // barrier carries real write notices up (and departures down) the tree.
       data[r * (n / 16)] = expect;
       dsm.barrier();
@@ -297,9 +303,10 @@ void BM_BarrierEpisode(benchmark::State& state) {
       benchmark::Counter(virtual_us / static_cast<double>(expect));
 }
 BENCHMARK(BM_BarrierEpisode)
-    ->Arg(0)
-    ->Arg(1)
-    ->ArgName("tree")
+    ->Args({0, 0})
+    ->Args({1, 0})
+    ->Args({0, 1})
+    ->ArgNames({"tree", "smp"})
     ->Unit(benchmark::kMicrosecond);
 
 // Detector overhead: the same falsely-shared barrier workload with the

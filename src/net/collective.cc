@@ -45,7 +45,8 @@ std::optional<Options> Options::parse(std::string_view spec) {
   return std::nullopt;
 }
 
-Schedule Schedule::flat(std::uint32_t n) {
+Schedule Schedule::flat(const sim::Topology& topo, std::uint32_t n,
+                        const std::function<NodeId(std::uint32_t)>& node_of) {
   OMSP_CHECK(n >= 1);
   Schedule s;
   s.tree_ = false;
@@ -54,8 +55,13 @@ Schedule Schedule::flat(std::uint32_t n) {
   s.level_.assign(n, 0);
   s.children_.resize(n);
   s.children_[0].reserve(n - 1);
+  const NodeId root = node_of(0);
+  OMSP_CHECK(root < topo.nodes());
   for (std::uint32_t m = 1; m < n; ++m) {
+    const NodeId node = node_of(m);
+    OMSP_CHECK(node < topo.nodes());
     s.parent_[m] = 0;
+    s.level_[m] = topo.top_stage(root, node);
     s.children_[0].push_back(m);
   }
   return s;
@@ -139,7 +145,8 @@ Schedule Schedule::tree(const sim::Topology& topo, std::uint32_t n,
 Schedule Schedule::build(const sim::Topology& topo, std::uint32_t n,
                          std::size_t payload_bytes, const Options& opts,
                          const std::function<NodeId(std::uint32_t)>& node_of) {
-  if (!opts.tree || payload_bytes <= opts.flat_max_bytes) return flat(n);
+  if (!opts.tree || payload_bytes <= opts.flat_max_bytes)
+    return flat(topo, n, node_of);
   return tree(topo, n, node_of);
 }
 
@@ -152,7 +159,7 @@ std::vector<std::uint32_t> Schedule::up_order() const {
 }
 
 std::vector<std::uint32_t> Schedule::down_order() const {
-  // Explicit pre-order so siblings appear in children() (far-first) order —
+  // Explicit pre-order so siblings appear in children() order —
   // the traversal the departure broadcast models.
   std::vector<std::uint32_t> order;
   order.reserve(size());

@@ -10,11 +10,12 @@
 // function of (topology, member -> node mapping) — deterministic and
 // host-schedule free.
 //
-// Both synchronization stacks execute on the same schedule:
-//  * DsmSystem::barrier() in tree mode reduces interval/write-notice
-//    metadata up the tree (merging at each leader, Lamport-correct) and
-//    broadcasts departures down it (docs/PROTOCOL.md "Hierarchical
-//    collectives").
+// Both synchronization stacks execute on the same schedules:
+//  * DsmSystem runs every fan-in and fan-out as one pass over a schedule:
+//    the barrier reduces interval/write-notice metadata up it (merging at
+//    each leader, Lamport-correct) and broadcasts departures down it; fork
+//    scatters over the flat star from the master and join gathers over it
+//    (docs/PROTOCOL.md "Hierarchical collectives").
 //  * MpiWorld barrier/bcast/reduce/allreduce build their send/recv pattern
 //    from the same tree, including the fused one-pass allreduce.
 //
@@ -37,9 +38,10 @@
 
 namespace omsp::coll {
 
-// Collective-engine selection. `tree == false` (the default, spec "central")
-// keeps the seed algorithms bit-for-bit: the centralized DSM barrier manager
-// and the classic flat MPI collectives. "tree" enables the hierarchical
+// Collective-engine selection: it picks the schedule's shape, never the
+// algorithm that runs over it. `tree == false` (the default, spec "central")
+// uses the one-level star rooted at member 0 (the DSM barrier manager) and
+// the classic flat MPI collectives. "tree" enables the hierarchical
 // schedules; "tree:<bytes>" additionally sets the flat-vs-tree switchover
 // point (payloads at or below it still use the flat star).
 struct Options {
@@ -64,13 +66,16 @@ struct Options {
 // describe the tree (root is always member 0), level() is the topology stage
 // an edge crosses (0 = intra-node, i >= 1 = network tier i), and
 // up_order()/down_order() are deterministic post-/pre-order traversals for
-// single-coordinator execution (the DSM barrier manager models the whole
-// episode on one thread).
+// single-coordinator execution (the DSM models each barrier episode, fork
+// and join on one thread).
 class Schedule {
 public:
   // Single-level star rooted at member 0 — the shape of the centralized
-  // algorithms, and the small-payload fallback in tree mode.
-  static Schedule flat(std::uint32_t n);
+  // algorithms, and the small-payload fallback in tree mode. Children stay
+  // in ascending order; each edge's level is the topology stage between
+  // member 0's node and the child's.
+  static Schedule flat(const sim::Topology& topo, std::uint32_t n,
+                       const std::function<NodeId(std::uint32_t)>& node_of);
 
   // The hierarchy tree: groups at stage level L are members whose nodes
   // share a stage-L group (level 0: the node itself); the leader of a group
@@ -94,8 +99,9 @@ public:
   int parent(std::uint32_t m) const { return parent_[m]; }
   // Topology stage level of the edge to the parent (0 for the root).
   std::uint32_t level(std::uint32_t m) const { return level_[m]; }
-  // Children, far-first: descending edge level, then ascending index — the
-  // down pass services the most expensive subtree first.
+  // Children. Tree: far-first (descending edge level, then ascending index),
+  // so the down pass services the most expensive subtree first. Flat:
+  // ascending index.
   const std::vector<std::uint32_t>& children(std::uint32_t m) const {
     return children_[m];
   }

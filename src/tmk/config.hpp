@@ -77,10 +77,11 @@ struct Config {
   // protocol has overlapped paths; home-based fetches stay synchronous.
   net::OverlapOptions overlap;
 
-  // Collective engine (coll::Schedule; OMSP_COLL): central keeps the seed's
-  // manager-based barrier bit-for-bit; tree reduces arrivals up the
-  // topology-derived leader tree and broadcasts departures down it
-  // (docs/PROTOCOL.md "Hierarchical collectives").
+  // Collective shape (coll::Schedule; OMSP_COLL): central runs the barrier
+  // over the one-level star rooted at the manager; tree reduces arrivals up
+  // the topology-derived leader tree and broadcasts departures down it.
+  // Both run through the same gather and scatter passes (docs/PROTOCOL.md
+  // "Hierarchical collectives").
   coll::Options coll;
 
   // Data-race detection (race::Detector; OMSP_RACE): vector-clock

@@ -31,7 +31,7 @@
 //     call per counted fact, so a lossless trace reconstructs every counter
 //     exactly (`omsp-trace check`). Each protocol step records in one
 //     function: count_diff_created for diff creation, apply_records for
-//     received notices, and DsmSystem::send_records for the notices every
+//     received notices, and DsmSystem::hand_off for the notices every
 //     sync edge sends.
 //
 // Locking discipline (deadlock-free by construction):

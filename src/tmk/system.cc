@@ -80,11 +80,18 @@ DsmSystem::DsmSystem(Config config)
     clocks_.push_back(
         std::make_unique<sim::VirtualClock>(config_.cost.cpu_scale));
 
+  const auto node_of = [this](std::uint32_t m) {
+    return config_.node_of_context(m);
+  };
+  star_ = coll::Schedule::flat(config_.topology, nc, node_of);
+  bar_sched_ = config_.coll.tree
+                   ? coll::Schedule::tree(config_.topology, nc, node_of)
+                   : star_;
+
   fork_start_time_.assign(nc, 0.0);
   ctx_done_.assign(nc, 0);
-  join_times_.assign(np, 0.0);
+  join_ctx_ready_.assign(nc, 0.0);
   bar_ctx_arrived_.assign(nc, 0);
-  bar_arrival_vt_.assign(nc, VectorTime(nc));
   bar_departure_time_.assign(nc, 0.0);
   bar_ctx_ready_.assign(nc, 0.0);
 
@@ -142,7 +149,8 @@ void DsmSystem::worker_main(Rank rank) {
 void DsmSystem::rank_epilogue(Rank rank) {
   const ContextId cid = config_.context_of_rank(rank);
   std::lock_guard<std::mutex> lk(join_mutex_);
-  join_times_[rank] = clocks_[rank]->now_us();
+  join_ctx_ready_[cid] =
+      std::max(join_ctx_ready_[cid], clocks_[rank]->now_us());
   if (++ctx_done_[cid] == config_.threads_in_context(cid)) {
     contexts_[cid]->close_interval(); // slave-side release of Tmk_join
     if (++contexts_done_ == config_.num_contexts()) {
@@ -175,17 +183,13 @@ void DsmSystem::fork_region(const std::function<void(Rank)>& fn) {
   {
     std::lock_guard<std::mutex> lk(join_mutex_);
     std::fill(ctx_done_.begin(), ctx_done_.end(), 0);
+    std::fill(join_ctx_ready_.begin(), join_ctx_ready_.end(), 0.0);
     contexts_done_ = 0;
     join_ready_ = false;
   }
-  const double mnow = mclk.now_us();
-  fork_start_time_[0] = mnow;
-  for (ContextId c = 1; c < config_.num_contexts(); ++c) {
-    const Handoff h = hand_off(0, c, MsgType::kForkDescriptor,
-                               kForkDescriptorBytes,
-                               contexts_[c]->vt_snapshot());
-    fork_start_time_[c] = mnow + h.cost_us;
-  }
+  fork_start_time_[0] = mclk.now_us();
+  scatter(star_, MsgType::kForkDescriptor, kForkDescriptorBytes,
+          fork_start_time_);
   {
     std::lock_guard<std::mutex> lk(fork_mutex_);
     fork_fn_ = fn;
@@ -204,16 +208,9 @@ void DsmSystem::join_region() {
     std::unique_lock<std::mutex> lk(join_mutex_);
     join_cv_.wait(lk, [&] { return join_ready_; });
   }
-  for (ContextId c = 1; c < config_.num_contexts(); ++c) {
-    const Handoff h = hand_off(c, 0, MsgType::kJoinNotice, kForkDescriptorBytes,
-                               contexts_[0]->vt_snapshot());
-    // Master resumes after the last join message arrives.
-    for (Rank r = 0; r < nprocs(); ++r)
-      if (config_.context_of_rank(r) == c)
-        mclk.advance_to(join_times_[r] + h.cost_us);
-  }
-  for (Rank r = 0; r < nprocs(); ++r)
-    if (config_.context_of_rank(r) == 0) mclk.advance_to(join_times_[r]);
+  // Master resumes after the last join notice arrives.
+  gather(star_, MsgType::kJoinNotice, kForkDescriptorBytes, join_ctx_ready_);
+  mclk.advance_to(join_ctx_ready_[0]);
 
   // Join is a quiescent point like a barrier episode: sweep the epoch's
   // write histories before anything can flush on top of them.
@@ -236,68 +233,33 @@ void DsmSystem::barrier() {
   std::unique_lock<std::mutex> lk(bar_mutex_);
   const std::uint64_t mygen = bar_generation_;
 
-  const bool tree = config_.coll.tree;
-  double arrival_cost = 0;
+  bar_ctx_ready_[cid] = std::max(bar_ctx_ready_[cid], clk.now_us());
   if (++bar_ctx_arrived_[cid] == config_.threads_in_context(cid)) {
-    // Context-level release: the last thread of the node closes the interval
-    // and sends the arrival message to the manager (context 0). The arrival
-    // carries every record the manager lacks — not only this context's own:
-    // a lock grant can close a third context's interval after that context
-    // already arrived (the grant runs on the acquirer's thread), and then
-    // only later arrivers know about it.
-    //
-    // In tree mode the context only closes its interval here: arrivals flow
-    // child -> leader -> root inside tree_barrier_episode(), modeled in one
-    // deterministic traversal once everyone has arrived.
+    // Context-level release: the node's last thread in host order closes
+    // the interval. The close's cost (eager diffs to homes under HomeLRC)
+    // and the arrival message the episode below sends both start at the
+    // node's virtual last arrival, not at this thread's clock.
+    const double close_t0 = clk.now_us();
     contexts_[cid]->close_interval();
-    auto recs =
-        contexts_[cid]->records_unknown_to(contexts_[0]->vt_snapshot());
-    bar_arrival_vt_[cid] = contexts_[cid]->vt_snapshot();
-    if (cid != 0 && !tree) {
-      // The manager applies every arrival at once, after the last one.
-      arrival_cost = send_records(cid, 0, MsgType::kBarrierArrival,
-                                  vt_wire_size(), recs)
-                         .cost_us;
-      bar_pending_arrivals_.insert(bar_pending_arrivals_.end(),
-                                   std::make_move_iterator(recs.begin()),
-                                   std::make_move_iterator(recs.end()));
-    }
+    bar_ctx_ready_[cid] += clk.now_us() - close_t0;
     trace::record(router_->stats(cid), trace::EventKind::kBarrierArrive, cid,
                   mygen);
   }
-  bar_max_arrival_ = std::max(bar_max_arrival_, clk.now_us() + arrival_cost);
-  if (tree)
-    bar_ctx_ready_[cid] = std::max(bar_ctx_ready_[cid], clk.now_us());
 
   if (++bar_arrived_ == nprocs()) {
-    if (tree) {
-      tree_barrier_episode();
-    } else {
-      // Last arrival: perform the manager's work on this thread.
-      contexts_[0]->apply_records(bar_pending_arrivals_);
-      bar_pending_arrivals_.clear();
-      // Barrier arrivals are sync edges into the manager; departures below
-      // hand the merged clock back out. Write entries carry close-time
-      // clocks, so this can never mask the epoch's own races.
-      if (race_ != nullptr)
-        for (ContextId c = 1; c < config_.num_contexts(); ++c)
-          contexts_[0]->sync_cover(contexts_[c]->sync_vt_snapshot());
-      const double depart =
-          bar_max_arrival_ + config_.cost.barrier_service_us;
-      bar_departure_time_[0] = depart;
-      // Departures all leave through the manager's uplink: message i queues
-      // behind the occupancy of the i earlier ones (zero with the default
-      // cost knobs, so the seed timing is unchanged).
-      double inject_backlog = 0;
-      for (ContextId c = 1; c < config_.num_contexts(); ++c) {
-        const Handoff h = hand_off(0, c, MsgType::kBarrierDeparture,
-                                   vt_wire_size(), bar_arrival_vt_[c]);
-        bar_departure_time_[c] = depart + inject_backlog + h.cost_us;
-        inject_backlog += config_.topology.message_occupancy_us(
-            config_.cost, h.bytes + net::kHeaderBytes,
-            config_.node_of_context(0), config_.node_of_context(c));
-      }
-    }
+    // Last arrival: model the whole episode on this thread, so the
+    // traversal order — and every draw a seeded transport makes — is a pure
+    // function of the schedule, not of host arrival order. Each arrival
+    // carries every record its parent lacks: its own closed interval plus
+    // anything that reached it sideways (lock grants close third-party
+    // intervals). Parents merge before forwarding, so the manager ends with
+    // the global union and every departure hands it back out.
+    gather(bar_sched_, MsgType::kBarrierArrival, vt_wire_size(),
+           bar_ctx_ready_);
+    bar_departure_time_[0] =
+        bar_ctx_ready_[0] + config_.cost.barrier_service_us;
+    scatter(bar_sched_, MsgType::kBarrierDeparture, vt_wire_size(),
+            bar_departure_time_);
     // The race sweep must see the epoch as the merge left it: GC and
     // prefetch below force flushes that mint post-merge intervals whose vts
     // cover — and would mask — the concurrent pairs of this epoch.
@@ -311,7 +273,6 @@ void DsmSystem::barrier() {
     std::fill(bar_ctx_arrived_.begin(), bar_ctx_arrived_.end(), 0);
     std::fill(bar_ctx_ready_.begin(), bar_ctx_ready_.end(), 0.0);
     bar_arrived_ = 0;
-    bar_max_arrival_ = 0;
     ++bar_generation_;
     bar_cv_.notify_all();
   } else {
@@ -337,33 +298,16 @@ void DsmSystem::coll_stage(ContextId sender, std::uint32_t level,
                 wire_bytes, (static_cast<std::uint64_t>(level) << 32) | leader);
 }
 
-void DsmSystem::tree_barrier_episode() {
-  // Modeled entirely by the last-arriving thread under bar_mutex_: the
-  // traversal order — and therefore every counter bump and every draw a
-  // seeded transport makes — is a pure function of the schedule, not of
-  // host thread arrival order.
-  const std::uint32_t nc = config_.num_contexts();
-  const coll::Schedule sched = coll::Schedule::tree(
-      config_.topology, nc,
-      [this](std::uint32_t m) { return config_.node_of_context(m); });
-
-  // Up pass (post-order): each context forwards to its leader every record
-  // the leader still lacks — its own closed interval plus anything that
-  // reached it sideways (lock grants close third-party intervals) — and
-  // leaders merge before forwarding, so context 0 ends with the global
-  // union exactly as the centralized manager does. A leader's fan-in
-  // serializes on its downlink: child i queues behind the occupancy of the
-  // i earlier arrivals (zero with the default cost knobs).
-  std::vector<double> ready = bar_ctx_ready_;
-  std::vector<double> sink_backlog(nc, 0.0);
+void DsmSystem::gather(const coll::Schedule& sched, MsgType type,
+                       std::size_t header_bytes, std::vector<double>& ready) {
+  std::vector<double> sink_backlog(sched.size(), 0.0);
   for (const std::uint32_t m : sched.up_order()) {
     if (sched.parent(m) < 0) continue;
     const auto parent = static_cast<ContextId>(sched.parent(m));
-    const Handoff h = hand_off(m, parent, MsgType::kBarrierArrival,
-                               vt_wire_size(),
+    const Handoff h = hand_off(m, parent, type, header_bytes,
                                contexts_[parent]->vt_snapshot());
     const std::size_t wire = h.bytes + net::kHeaderBytes;
-    coll_stage(m, sched.level(m), parent, wire);
+    if (sched.is_tree()) coll_stage(m, sched.level(m), parent, wire);
     ready[parent] =
         std::max(ready[parent], ready[m] + sink_backlog[parent] + h.cost_us);
     // The fan-in serializes at the rate of the stage the edge crosses: an
@@ -371,33 +315,28 @@ void DsmSystem::tree_barrier_episode() {
     sink_backlog[parent] +=
         config_.topology.stage_occupancy_us(config_.cost, sched.level(m), wire);
   }
+}
 
-  const double depart = ready[0] + config_.cost.barrier_service_us;
-  bar_departure_time_[0] = depart;
-
-  // Down pass (pre-order, far subtrees first): each leader pushes every
-  // record a child still lacks. After its departure message a context holds
-  // the full union — the same post-barrier state the centralized path
-  // establishes — so prefetch batches and GC run unchanged on top.
-  std::vector<double> inject_backlog(nc, 0.0);
+void DsmSystem::scatter(const coll::Schedule& sched, MsgType type,
+                        std::size_t header_bytes, std::vector<double>& depart) {
+  std::vector<double> inject_backlog(sched.size(), 0.0);
   for (const std::uint32_t m : sched.down_order()) {
     if (sched.parent(m) < 0) continue;
     const auto parent = static_cast<ContextId>(sched.parent(m));
-    const Handoff h = hand_off(parent, m, MsgType::kBarrierDeparture,
-                               vt_wire_size(), contexts_[m]->vt_snapshot());
+    const Handoff h = hand_off(parent, m, type, header_bytes,
+                               contexts_[m]->vt_snapshot());
     const std::size_t wire = h.bytes + net::kHeaderBytes;
-    coll_stage(parent, sched.level(m), parent, wire);
-    bar_departure_time_[m] =
-        bar_departure_time_[parent] + inject_backlog[parent] + h.cost_us;
+    if (sched.is_tree()) coll_stage(parent, sched.level(m), parent, wire);
+    depart[m] = depart[parent] + inject_backlog[parent] + h.cost_us;
     inject_backlog[parent] +=
         config_.topology.stage_occupancy_us(config_.cost, sched.level(m), wire);
   }
 }
 
-DsmSystem::Handoff
-DsmSystem::send_records(ContextId from, ContextId to, MsgType type,
-                        std::size_t header_bytes,
-                        const std::vector<IntervalRecord>& recs) {
+DsmSystem::Handoff DsmSystem::hand_off(ContextId from, ContextId to,
+                                       MsgType type, std::size_t header_bytes,
+                                       const VectorTime& known_vt) {
+  const auto recs = contexts_[from]->records_unknown_to(known_vt);
   Handoff h;
   h.bytes = header_bytes + records_wire_size(recs);
   h.cost_us = notify(from, to, type, h.bytes);
@@ -405,14 +344,6 @@ DsmSystem::send_records(ContextId from, ContextId to, MsgType type,
   if (notices > 0)
     trace::record(router_->stats(from), trace::EventKind::kWriteNoticesSent,
                   from, notices);
-  return h;
-}
-
-DsmSystem::Handoff DsmSystem::hand_off(ContextId from, ContextId to,
-                                       MsgType type, std::size_t header_bytes,
-                                       const VectorTime& known_vt) {
-  const auto recs = contexts_[from]->records_unknown_to(known_vt);
-  const Handoff h = send_records(from, to, type, header_bytes, recs);
   contexts_[to]->apply_records(recs);
   // Every hand-off is a sync edge: the receiver's race clock inherits all the
   // sender sync-knows, even intervals the record stream skipped because the

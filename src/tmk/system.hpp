@@ -3,8 +3,15 @@
 // Owns the router, the DSM contexts (one per node in thread mode, one per
 // processor in process mode), the worker-thread pool that implements
 // Tmk_fork/Tmk_join (§3.2: all threads are created at startup; slaves block
-// between forks), the centralized barrier manager, the distributed lock
-// table, the shared-heap allocator and the per-rank virtual clocks.
+// between forks), the barrier, the distributed lock table, the shared-heap
+// allocator and the per-rank virtual clocks.
+//
+// Every synchronization fan-in and fan-out is one pass over a
+// coll::Schedule of the contexts: gather() for barrier arrivals and join
+// notices, scatter() for barrier departures and fork descriptors. Fork and
+// join run over the flat star from the master; the barrier runs over the
+// star rooted at the manager (context 0, §3.1.2) or, with config.coll.tree,
+// over the topology's leader tree. Each edge is one hand_off().
 //
 // Usage (mirrors what the OpenMP translator emits):
 //
@@ -30,6 +37,7 @@
 
 #include "common/stats.hpp"
 #include "common/types.hpp"
+#include "net/collective.hpp"
 #include "net/router.hpp"
 #include "race/detector.hpp"
 #include "sim/virtual_clock.hpp"
@@ -144,13 +152,22 @@ private:
   // TreadMarks-style GC, run by the barrier manager when stored diffs exceed
   // the configured threshold: validate everything, then drop history.
   void maybe_collect_garbage();
-  // Tree-mode barrier episode (config_.coll.tree): reduce interval records
-  // up the topology-derived leader tree, broadcast departures down it. Runs
-  // entirely on the last-arriving thread under bar_mutex_, so the traversal
-  // order — and every draw from a seeded transport — is a pure function of
-  // the schedule.
-  void tree_barrier_episode();
-  // Counter + trace bookkeeping for one traversed schedule edge (tree mode).
+  // The fan-in pass over `sched`, children before parents: each non-root
+  // member hands its parent every record the parent lacks as one `type`
+  // message of header_bytes plus the records. On entry ready[m] is the
+  // virtual time member m can send; on return each parent's entry is the
+  // time its whole subtree has arrived, so ready[0] ends the gather. A
+  // parent's fan-in serializes on its downlink: child i queues behind the
+  // stage occupancy of the i earlier arrivals.
+  void gather(const coll::Schedule& sched, net::MsgType type,
+              std::size_t header_bytes, std::vector<double>& ready);
+  // The fan-out pass, parents before children: each parent hands each child
+  // every record the child lacks. On entry depart[0] is the root's send
+  // time; on return depart[m] is when member m has its message. A parent's
+  // sends serialize on its uplink the same way.
+  void scatter(const coll::Schedule& sched, net::MsgType type,
+               std::size_t header_bytes, std::vector<double>& depart);
+  // Counter + trace bookkeeping for one traversed tree-schedule edge.
   void coll_stage(ContextId sender, std::uint32_t level, ContextId leader,
                   std::size_t wire_bytes);
   // Transfer lock `l` (state `st`) from st.cached_at to (to_ctx,to_rank);
@@ -167,16 +184,12 @@ private:
     double cost_us = 0;
     std::size_t bytes = 0;
   };
-  // Send `recs` from -> to as one `type` message of header_bytes plus the
-  // records' wire size, and record its write notices on the sender. The
-  // records are not applied.
-  Handoff send_records(ContextId from, ContextId to, net::MsgType type,
-                       std::size_t header_bytes,
-                       const std::vector<IntervalRecord>& recs);
-  // One sync edge: send every record `from` holds that known_vt lacks,
-  // apply them on `to`, and (race detector on) merge from's sync clock into
-  // to's. Fork, join, lock grants and every barrier message except the
-  // centralized arrival, whose apply the manager defers, go through here.
+  // One sync edge, and the one place that sends interval records: send
+  // every record `from` holds that known_vt lacks as one `type` message of
+  // header_bytes plus the records, record its write notices on the sender,
+  // apply the records on `to`, and (race detector on) merge from's sync
+  // clock into to's. Fork, join, lock grants and every barrier message go
+  // through here.
   Handoff hand_off(ContextId from, ContextId to, net::MsgType type,
                    std::size_t header_bytes, const VectorTime& known_vt);
   // Race-detector sweep at a quiescent point (barrier episode / join): pull
@@ -223,23 +236,27 @@ private:
   std::vector<std::uint32_t> ctx_done_;
   std::uint32_t contexts_done_ = 0;
   bool join_ready_ = false;
-  std::vector<double> join_times_; // per rank
+  // Per context, the virtual time its last thread reached the join — the
+  // earliest it can send its join notice.
+  std::vector<double> join_ctx_ready_;
 
   bool in_parallel_ = false;
   std::thread::id master_thread_;
 
-  // Barrier machinery (centralized manager at context 0, §3.1.2).
+  // The flat star over the contexts, rooted at the master's (fork, join).
+  coll::Schedule star_;
+
+  // Barrier machinery: the manager is context 0 (§3.1.2), the root of
+  // bar_sched_ — star_ by default, the leader tree with config.coll.tree.
+  coll::Schedule bar_sched_;
   std::mutex bar_mutex_;
   std::condition_variable bar_cv_;
   std::uint64_t bar_generation_ = 0;
   std::uint32_t bar_arrived_ = 0;
   std::vector<std::uint32_t> bar_ctx_arrived_;
-  std::vector<VectorTime> bar_arrival_vt_;
-  std::vector<IntervalRecord> bar_pending_arrivals_;
   std::vector<double> bar_departure_time_; // per context
-  double bar_max_arrival_ = 0;
-  // Tree mode: per context, the virtual time its last thread reached the
-  // barrier — the earliest the context can send its arrival up the tree.
+  // Per context, the virtual time its last thread reached the barrier plus
+  // its interval close — the earliest the context can send its arrival.
   std::vector<double> bar_ctx_ready_;
 
   // Lock table.

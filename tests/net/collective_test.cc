@@ -57,17 +57,46 @@ TEST(CollOptions, MalformedSpecsRejected) {
   }
 }
 
+// The flat star keeps ascending children, and each edge carries the stage
+// between the root's node and the child's: on sp2 the root's three node
+// mates sit at stage 0 and the twelve off-node ranks at stage 1. Only the
+// stage's occupancy tells the two apart, which sp2cal pins for the switch.
 TEST(CollSchedule, FlatStar) {
-  const Schedule s = Schedule::flat(5);
-  EXPECT_FALSE(s.is_tree());
-  EXPECT_EQ(s.depth(), 1u);
-  EXPECT_EQ(s.parent(0), -1);
-  ASSERT_EQ(s.children(0).size(), 4u);
-  for (std::uint32_t m = 1; m < 5; ++m) {
-    EXPECT_EQ(s.parent(m), 0);
-    EXPECT_EQ(s.level(m), 0u);
-    EXPECT_TRUE(s.children(m).empty());
+  for (const auto& t :
+       {sim::Topology::sp2(), sim::Topology::sp2_calibrated()}) {
+    SCOPED_TRACE(t.spec());
+    const Schedule s = Schedule::flat(
+        t, t.nprocs(), [&t](std::uint32_t m) { return t.node_of_rank(m); });
+    EXPECT_FALSE(s.is_tree());
+    EXPECT_EQ(s.depth(), 1u);
+    EXPECT_EQ(s.parent(0), -1);
+    EXPECT_EQ(s.level(0), 0u);
+    ASSERT_EQ(s.children(0).size(), 15u);
+    for (std::uint32_t m = 1; m < 16; ++m) {
+      EXPECT_EQ(s.parent(m), 0);
+      EXPECT_EQ(s.children(0)[m - 1], m);
+      EXPECT_EQ(s.level(m), m < 4 ? 0u : 1u) << "member " << m;
+      EXPECT_TRUE(s.children(m).empty());
+    }
   }
+  const auto cal = sim::Topology::sp2_calibrated();
+  const sim::CostModel cost = sim::CostModel::sp2_default();
+  EXPECT_LT(cal.stage_occupancy_us(cost, 0, 64),
+            cal.stage_occupancy_us(cost, 1, 64));
+
+  // Root-relative members (the MPI shape): levels follow the root's node.
+  const auto t = sim::Topology::sp2();
+  const Schedule rooted = Schedule::flat(t, 16, [&t](std::uint32_t m) {
+    return t.node_of_rank((m + 5) % 16);
+  });
+  for (std::uint32_t m = 1; m < 16; ++m) {
+    const bool mate = m == 1 || m == 2 || m == 15; // ranks 6, 7 and 4
+    EXPECT_EQ(rooted.level(m), mate ? 0u : 1u) << "member " << m;
+  }
+
+  const Schedule single = Schedule::flat(t, 1, [](std::uint32_t) { return 0; });
+  EXPECT_EQ(single.depth(), 0u);
+  EXPECT_TRUE(single.children(0).empty());
 }
 
 TEST(CollSchedule, BuildAppliesSizeSwitchover) {

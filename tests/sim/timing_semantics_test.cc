@@ -3,6 +3,8 @@
 // only modeled costs move the clocks, making outcomes exact.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <thread>
 #include <vector>
 
 #include "../common/env_guard.hpp"
@@ -135,10 +137,13 @@ TEST(TimingSemantics, OffNodeCostsMoreThanIntraNode) {
 }
 
 TEST(TimingSemantics, ThreadModeBeatsProcessModeOnSharedReads) {
-  // Four readers of one page: thread mode faults once per node, process mode
-  // once per processor — the Table 3 effect expressed in time. The margin is
-  // small enough that env-forced overlapped fetching can flip it; pin the
-  // environment so the test measures the mode effect it names.
+  // Rank 0 writes two pages each round; every rank then reads both, odd
+  // ranks in the opposite order to even ones. In thread mode a node's two
+  // threads each fetch one page and find the other already valid; in
+  // process mode every processor fetches both — the Table 3 effect
+  // expressed in time. The margin is small enough that env-forced
+  // overlapped fetching can flip it; pin the environment so the test
+  // measures the mode effect it names.
   const test::ScopedEnvClear env_guard;
   const auto run = [](Mode mode) {
     Config cfg;
@@ -148,20 +153,55 @@ TEST(TimingSemantics, ThreadModeBeatsProcessModeOnSharedReads) {
     cfg.cost = sim::CostModel::sp2_default();
     cfg.cost.cpu_scale = 0;
     DsmSystem dsm(cfg);
-    auto x = dsm.alloc_page_aligned<long>(512);
+    constexpr std::size_t kLongsPerPage = kPageSize / sizeof(long);
+    auto x = dsm.alloc_page_aligned<long>(2 * kLongsPerPage);
     x[0] = 7;
     dsm.parallel([&](Rank r) {
+      const std::size_t first = r % 2 == 0 ? 0 : kLongsPerPage;
+      const std::size_t second = kLongsPerPage - first;
       for (int round = 0; round < 10; ++round) {
-        if (r == 0) x[round] = round;
+        if (r == 0) {
+          x[round] = round;
+          x[kLongsPerPage + round] = round;
+        }
         dsm.barrier();
-        volatile long v = x[round];
-        (void)v;
+        volatile long a = x[first + round];
+        volatile long b = x[second + round];
+        (void)a;
+        (void)b;
         dsm.barrier();
       }
     });
     return dsm.master_time_us();
   };
   EXPECT_LT(run(Mode::kThread), run(Mode::kProcess));
+}
+
+TEST(TimingSemantics, BarrierIgnoresHostArrivalOrder) {
+  // Thread mode, two nodes of two: rank 2 reaches the barrier 1000 us of
+  // virtual time after its node mate. Node 1's arrival message leaves at
+  // the node's virtual last arrival whichever thread the host runs last, so
+  // both host orders end at the same virtual time, on both engines.
+  const test::ScopedEnvClear env_guard;
+  const auto run = [](bool tree, Rank host_last) {
+    Config cfg = timing_cfg(2, 2);
+    cfg.mode = Mode::kThread;
+    cfg.coll.tree = tree;
+    cfg.cost.net_latency_us = 100;
+    cfg.cost.handler_service_us = 10;
+    DsmSystem dsm(cfg);
+    dsm.parallel([&](Rank r) {
+      if (r == 2) sim::VirtualClock::current()->charge(1000);
+      if (r == host_last)
+        std::this_thread::sleep_for(std::chrono::milliseconds(30));
+      dsm.barrier();
+    });
+    return dsm.master_time_us();
+  };
+  for (const bool tree : {false, true}) {
+    SCOPED_TRACE(tree ? "tree" : "central");
+    EXPECT_EQ(run(tree, 2), run(tree, 3));
+  }
 }
 
 } // namespace

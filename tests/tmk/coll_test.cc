@@ -1,10 +1,10 @@
 // DSM barrier on the hierarchical collective engine: OMSP_COLL=tree reduces
 // interval/write-notice metadata up the topology tree and broadcasts
-// departures down it. These tests pin (1) central as the untouched default,
-// (2) exact value equivalence between central and tree episodes on both
-// protocols, (3) determinism of the tree episode under seeded loss, (4) the
-// coll_stages/coll_bytes counter gating, and (5) the modeled-time win of the
-// tree episode on a deep machine.
+// departures down it. These tests pin (1) central, the flat star, as the
+// default, (2) exact value equivalence between central and tree episodes on
+// both protocols, (3) determinism of the tree episode under seeded loss, (4)
+// the coll_stages/coll_bytes counter gating, and (5) the modeled-time win of
+// the tree episode on a deep machine.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -68,7 +68,7 @@ Config tree_config(Config cfg) {
 TEST(DsmColl, CentralIsDefaultAndEmitsNoCollStages) {
   const ScopedEnvClear env_guard;
   Config cfg;
-  EXPECT_FALSE(cfg.coll.tree); // OMSP_COLL unset: the seed barrier, untouched
+  EXPECT_FALSE(cfg.coll.tree); // OMSP_COLL unset: the flat-star barrier
   cfg.topology = sim::Topology::fat_tree(2, 2, 2);
   cfg.cost = sim::CostModel::zero();
   const RunResult r = run_ring_stencil(cfg);

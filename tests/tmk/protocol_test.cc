@@ -376,5 +376,30 @@ TEST(Protocol, SyncEdgeAccountingIsPinned) {
   }
 }
 
+// The same program in thread mode: each barrier's and join's node-level
+// message leaves at its context's virtual last arrival, and HomeLRC's eager
+// diffs at the barrier close are charged from there, so the master's time
+// no longer depends on which of a node's threads the host runs last. Byte
+// counts are left out: fault-time fetches still race interval flushes here.
+TEST(Protocol, ThreadModeSyncTimeIsPinned) {
+  const test::ScopedEnvClear env_guard;
+  for (const bool tree : {false, true}) {
+    for (const Protocol protocol : {Protocol::kLazyRC, Protocol::kHomeLRC}) {
+      Config cfg;
+      cfg.topology = sim::Topology::sp2();
+      cfg.mode = Mode::kThread;
+      cfg.heap_bytes = 1u << 20;
+      cfg.cost = test::latency_model();
+      cfg.coll.tree = tree;
+      cfg.protocol = protocol;
+      DsmSystem dsm(cfg);
+      SCOPED_TRACE(std::string(tree ? "tree" : "central") +
+                   (protocol == Protocol::kHomeLRC ? "/home" : "/lazy"));
+      EXPECT_EQ(run_turn_taking(dsm),
+                protocol == Protocol::kHomeLRC ? 16880.0 : 16330.0);
+    }
+  }
+}
+
 } // namespace
 } // namespace omsp::tmk
